@@ -10,7 +10,8 @@ Load is a closed loop in this one process, on one thread: one workload pass
 at a time, the next only after the previous one has ended and been checked.
 
 ``--trace 0`` reports the end-to-end metrics: the median pass wall time,
-canonization latency percentiles, peak RSS and set-up time.  ``--trace 1``
+canonization latency percentiles, peak RSS and set-up time, the times at
+reference speed (see reference.py and Slices).  ``--trace 1``
 alternates untraced and traced passes and reports the per-layer split of a
 traced pass (see tracer.py) and the tracing overhead.
 
@@ -24,15 +25,20 @@ library cannot be imported from the checkout.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import gc
+import itertools
 import json
 import os
 import platform
 import resource
+import signal
 import statistics
 import sys
 import time
 
+import reference
 import tracer as tracing
 import workloads
 
@@ -43,9 +49,17 @@ SRC = os.path.join(ROOT, "src")
 # after every pass, so that setup_s, their median, samples the whole run.
 FIRST_SETUPS = 3
 SETUPS_PER_PASS = 4
-# After each pass of a generation workload, its canon-latency probe runs
-# for this share of the pass's wall time.
-PROBE_SHARE = 0.2
+# A run makes at least this many passes, so that wall_s is never one pass.
+MIN_PASSES = 2
+# During a pass a timer signal starts a slice every SLICE_PERIOD seconds
+# (see Slices): it times the reference, and on a generation workload then
+# runs the canon-latency probe for PROBE_SHARE of the period.  The clock of
+# the pass runs at the mean reference speed of the last SPEED_SLICES
+# slices: one sample of the reference is too short to tell the host's
+# speed by itself.
+SLICE_PERIOD = 0.2
+SPEED_SLICES = 5
+PROBE_SHARE = 0.1
 PROBE_BATCH = 8
 
 
@@ -59,18 +73,10 @@ def p90(xs):
     return statistics.quantiles(xs, n=10, method="inclusive")[8]
 
 
-def _loop_seconds(n):
-    t0 = time.perf_counter()
-    x = 0
-    for i in range(n):
-        x = (x * 31 + i) & 0xFFFF
-    return time.perf_counter() - t0
-
-
 def calibrate():
-    """Seconds for a fixed pure-Python loop, the median of three tries.
-    Context for reading a run from a slow host; not a metric."""
-    return statistics.median(_loop_seconds(300_000) for _ in range(3))
+    """Seconds for the reference work (see reference.py), the median of 100
+    tries.  Context for reading a run from a slow host; not a metric."""
+    return statistics.median(reference.sample() for _ in range(100))
 
 
 def git_sha(root):
@@ -108,24 +114,28 @@ def setup(wl, seed, quick):
     return lib, state, time.perf_counter() - t0
 
 
-def one_pass(wl, lib, state, tr=None):
+def one_pass(wl, lib, state, tr=None, slices=None):
     """Run and gate one pass.  Returns (wall, check, latencies, output); the
     output is None when the pass raised.  With a tracer the pass runs with
-    the wrappers installed, and the gate runs after they are removed."""
+    the wrappers installed, and the gate runs after they are removed.  With
+    slices, they run during the pass, and the pass and the latencies the
+    workload measures are timed on their clock, at reference speed."""
+    clock = slices.clock if slices is not None else time.perf_counter
     # Collect the garbage of earlier passes and set-ups first, so that what
     # the pass allocates on top of it does not depend on their number.
     gc.collect()
-    t0 = time.perf_counter()
-    try:
-        if tr is None:
-            out = wl.run(lib, state)
-        else:
-            with tr:
-                out = tr.root(wl.run, lib, state, True)
-        err = None
-    except Exception as e:  # a failed operation, reported by the gate
-        out, err = None, e
-    wall = time.perf_counter() - t0
+    with slices or contextlib.nullcontext():
+        t0 = clock()
+        try:
+            if tr is not None:
+                with tr:
+                    out = tr.root(wl.run, lib, state, True)
+            else:
+                out = wl.run(lib, state, clock=clock)
+            err = None
+        except Exception as e:  # a failed operation, reported by the gate
+            out, err = None, e
+        wall = clock() - t0
     if err is not None:
         chk = workloads.Check()
         chk.op(False, f"{wl.name}: pass raised {err!r}")
@@ -136,67 +146,132 @@ def one_pass(wl, lib, state, tr=None):
 
 class Latencies:
     """Decode-canonize-encode seconds per input.  An input measured several
-    times in a run counts once, at its mean, so that the percentiles
-    average over the host's speed during the run as wall_s does.  Only a
-    sum and a count are kept per input, so memory does not grow with the
-    number of passes."""
+    times in a run counts once, at the median of its measurements, so that
+    one measurement that a slow stretch of the host hit does not move it."""
 
     def __init__(self):
-        self.sums = {}
+        self.times = {}
         self.samples = 0
 
     def add(self, keys, latencies):
         for key, dt in zip(keys, latencies):
             if dt is not None:
-                total, n = self.sums.get(key, (0.0, 0))
-                self.sums[key] = (total + dt, n + 1)
+                self.times.setdefault(key, []).append(dt)
                 self.samples += 1
 
     def per_input(self):
-        return [total / n for total, n in self.sums.values()]
+        return [statistics.median(ts) for ts in self.times.values()]
 
 
-def probe(lib, stream, budget, cursor, total, acc):
-    """Decode, canonize and encode probe inputs, cycling through the stream
-    from ``cursor``, until ``budget`` seconds are used.  Each batch is
-    gated as soon as it ends, so memory does not grow with the budget.
-    Returns the next cursor."""
-    t0 = time.perf_counter()
-    while True:
-        idx = [(cursor + i) % len(stream) for i in range(PROBE_BATCH)]
-        cursor += PROBE_BATCH
-        batch = [stream[i] for i in idx]
-        expect = {key: workloads.atom_digest(key) for key, _ in batch}
-        chk, latencies = workloads.check_canon_rows(
-            lib, workloads.canon_stream(lib, batch), expect)
-        total.add(chk)
-        acc.add(idx, latencies)
-        if time.perf_counter() - t0 >= budget:
-            return cursor
+class Slices:
+    """Work done in slices that a timer signal starts every SLICE_PERIOD
+    seconds of a pass, and once more as the pass begins and as it ends.
+
+    Each slice first times the reference (see reference.py).  ``clock``
+    reads seconds at reference speed: the time spent outside slices, each
+    stretch between two slices scaled by the mean reference speed of the
+    last SPEED_SLICES slices before it.  On a generation workload the slice
+    then runs the canon-latency probe for PROBE_SHARE of the period: it
+    decodes, canonizes and encodes probe inputs, cycling through them,
+    times each at the speed the slice has just measured, and gates each
+    batch as it ends.  The probe runs during the pass, not between passes,
+    so that its inputs are timed in the same stretches of the host's speed
+    as the pass.  The library keeps no module state, so a slice may run in
+    the middle of a pass.  The cyclic garbage collector is off during a
+    slice, so that a collection of the pass's garbage does not land in
+    it."""
+
+    def __init__(self, lib, probe, total):
+        self.lib, self.probe, self.total = lib, probe, total
+        self.cursor = 0
+        self.speeds = []  # reference speed of each slice of the last pass
+        self.recent = collections.deque(maxlen=SPEED_SLICES)
+        self.probed = []  # (probe input index, seconds) of the last pass
+        self._busy = False
+        self._handler = None
+        # (seconds in slices, time outside slices at the last slice, clock
+        # at the last slice, speed measured then), read and replaced whole.
+        self._state = (0.0, time.perf_counter(), 0.0, 1.0)
+
+    def clock(self):
+        spent, mark, at, speed = self._state
+        return at + (time.perf_counter() - spent - mark) * speed
+
+    def slice(self, *_signal):
+        if self._busy:
+            return
+        self._busy = True
+        t0 = time.perf_counter()
+        spent, _, _, speed = self._state
+        mark, at = t0 - spent, self.clock()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            own = reference.speed(reference.sample())
+            self.speeds.append(own)
+            self.recent.append(own)
+            speed = statistics.fmean(self.recent)
+            while (self.probe and
+                   time.perf_counter() - t0 < PROBE_SHARE * SLICE_PERIOD):
+                idx = [(self.cursor + i) % len(self.probe)
+                       for i in range(PROBE_BATCH)]
+                self.cursor += PROBE_BATCH
+                batch = [self.probe[i] for i in idx]
+                expect = {key: workloads.atom_digest(key) for key, _ in batch}
+                rows = workloads.canon_stream(
+                    self.lib, batch,
+                    clock=lambda: time.perf_counter() * own)
+                chk, latencies = workloads.check_canon_rows(self.lib, rows,
+                                                            expect)
+                self.total.add(chk)
+                self.probed += zip(idx, latencies)
+        finally:
+            if enabled:
+                gc.enable()
+            self._state = (spent + time.perf_counter() - t0, mark, at,
+                           speed)
+            self._busy = False
+
+    def __enter__(self):
+        self.speeds, self.probed = [], []
+        self.slice()
+        self._handler = signal.signal(signal.SIGALRM, self.slice)
+        signal.setitimer(signal.ITIMER_REAL, SLICE_PERIOD, SLICE_PERIOD)
+        return self
+
+    def __exit__(self, *exc):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._handler)
+        self.slice()
+        return False
 
 
 def timed_run(wl, lib, state, seconds, total, resetup):
-    """Untraced passes for about ``seconds``: another pass starts while at
-    least half of one still fits.  After each pass: a share of probe time
-    for generation workloads, then ``SETUPS_PER_PASS`` timed set-ups."""
-    walls, acc, stream, cursor = [], Latencies(), None, 0
+    """Untraced passes for about ``seconds``: after ``MIN_PASSES``, another
+    pass starts while at least half of one still fits.  Slices run during
+    each pass, and the pass and the latencies measured during it are timed
+    at reference speed.  After each pass: ``SETUPS_PER_PASS`` timed
+    set-ups."""
+    walls, speeds, acc = [], [], Latencies()
+    sl = Slices(lib, state.probe, total)
     start = time.perf_counter()
-    while True:
+    for passes in itertools.count(1):
         t0 = time.perf_counter()
-        wall, chk, lat, out = one_pass(wl, lib, state)
+        # The output is dropped at once, so it is not alive during the
+        # set-ups or the next pass.
+        wall, chk, lat = one_pass(wl, lib, state, slices=sl)[:3]
         total.add(chk)
         acc.add(range(len(lat)), lat)
+        if sl.probed:
+            acc.add(*zip(*sl.probed))
         if chk.failed == 0:
             walls.append(wall)
-            if stream is None:
-                stream = wl.probe_stream(lib, state, out)
-        out = None  # not alive during the next pass
-        if stream:
-            cursor = probe(lib, stream, PROBE_SHARE * wall, cursor, total, acc)
+        speeds.append(statistics.fmean(sl.speeds))
         step = time.perf_counter() - t0
         for _ in range(SETUPS_PER_PASS):
             resetup()
-        if time.perf_counter() - start + step / 2 > seconds:
+        if (passes >= MIN_PASSES
+                and time.perf_counter() - start + step / 2 > seconds):
             break
     per_input = acc.per_input()
     metrics = {
@@ -205,9 +280,8 @@ def timed_run(wl, lib, state, seconds, total, resetup):
         "canon_ms.p90": (p90(per_input) * 1e3, "ms"),
         "peak_rss_mb": (peak_rss_mb(), "MB"),
     }
-    detail = {"passes": len(walls), "walls_s": walls,
-              "canon_inputs": len(per_input),
-              "canon_samples": acc.samples}
+    detail = {"passes": len(walls), "walls_s": walls, "pass_speeds": speeds,
+              "canon_inputs": len(per_input), "canon_samples": acc.samples}
     return metrics, detail
 
 
@@ -322,11 +396,16 @@ def main(argv=None):
         print(f"error: no gcanon package under {SRC}", file=sys.stderr)
         return 2
     sys.path.insert(0, SRC)
-    setup_times = []
+    setup_times, setup_speeds = [], []
 
     def resetup():
+        # The reference is timed just before and just after the set-up.
+        before = reference.sample()
         lib, state, dt = setup(wl, args.seed, args.quick)
+        after = reference.sample()
         setup_times.append(dt)
+        setup_speeds.append((reference.speed(before)
+                             + reference.speed(after)) / 2)
         return lib, state
 
     try:
@@ -343,14 +422,17 @@ def main(argv=None):
     else:
         metrics, detail = timed_run(wl, lib, state, args.seconds, total,
                                     resetup)
-        metrics["setup_s"] = (median(setup_times), "s")
+        metrics["setup_s"] = (median([t * v for t, v in zip(setup_times,
+                                                             setup_speeds)]),
+                              "s")
     record = {
         "workload": wl.name, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "quick": args.quick,
         "python": platform.python_version(), "nproc": os.cpu_count(),
         "git_sha": git_sha(ROOT),
         "calibration_s": [calib_before, calibrate()],
-        "setup_times_s": setup_times, "failures": total.reasons, **detail,
+        "setup_times_s": setup_times, "setup_speeds": setup_speeds,
+        "failures": total.reasons, **detail,
     }
     print(json.dumps({"record": record}))
     print(json.dumps({

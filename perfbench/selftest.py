@@ -9,7 +9,8 @@ Covers the quick mode of every workload (geng n=5 gives 34 classes,
 gt (3,5;6) gives 32, cg (3,5;5) gives 13, a 3-input canon_sym), the gate
 (a dropped class or a corrupted atom is counted as a failure), the tracer
 (missing targets, restoring every wrapper, spans that account for the
-traced wall time) and the JSON result line against BENCHMARK.json.
+traced wall time), the slices that run during a pass (the reference and
+the canon-latency probe) and the JSON result line against BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ import json
 import os
 import re
 import shutil
+import signal
+import statistics
 import subprocess
 import sys
+import time
 import unittest
 from types import SimpleNamespace
 
@@ -123,6 +127,83 @@ class Gate(unittest.TestCase):
         chk, _ = wl.check(self.lib, state, bad)
         self.assertGreaterEqual(chk.failed, 1)
 
+    def test_probe_pool_follows_the_pass(self):
+        import probe_pool
+        canonical_form = self.lib.canon.canonical_form
+        encode = self.lib.graph6.encode_graph6
+        decode = self.lib.graph6.decode_graph6
+        for name in QUICK:
+            pool = probe_pool.load(name)
+            self.assertEqual(len(pool), probe_pool.SIZE, name)
+            for atom, canonical in pool[::64]:
+                self.assertEqual(encode(canonical_form(decode(atom))),
+                                 canonical, name)
+        # The gt pass canonizes kept extensions of every level, not only
+        # its one output class on 13 vertices.
+        sizes = {decode(a).n for a, _ in probe_pool.load("ramsey_gt")}
+        self.assertGreaterEqual(len(sizes), 5)
+        wl, state, _ = self.pass_of("ramsey_gt")
+        self.assertEqual(len(state.probe), workloads.QUICK_PROBE_INPUTS)
+
+    def test_slices_run_during_a_pass(self):
+        import run
+        wl, state, _ = self.pass_of("geng8")
+        total = workloads.Check()
+        sl = run.Slices(self.lib, state.probe, total)
+
+        def slow_run(lib, st, clock):
+            time.sleep(0.5)
+            return wl.run(lib, st)
+
+        slow = SimpleNamespace(name=wl.name, run=slow_run, check=wl.check)
+        t0 = time.perf_counter()
+        wall, chk, _, _ = run.one_pass(slow, self.lib, state, slices=sl)
+        elapsed = time.perf_counter() - t0
+        self.assertEqual(chk.failed, 0)
+        # A slice as the pass begins, one every SLICE_PERIOD and one as it
+        # ends, each with a reference speed; the probe ran in them and
+        # passed its gate.
+        self.assertGreaterEqual(len(sl.speeds), 4)
+        self.assertTrue(all(v > 0 for v in sl.speeds))
+        self.assertGreater(len(sl.probed), 0)
+        self.assertEqual((total.attempted, total.failed), (len(sl.probed), 0))
+        # The pass is timed at reference speed, without the slices' time.
+        spent = sl._state[0]
+        self.assertGreater(spent, 0)
+        self.assertAlmostEqual(elapsed - spent, 0.5, delta=0.1)
+        self.assertAlmostEqual(wall / statistics.fmean(sl.speeds), 0.5,
+                               delta=0.2)
+        # The timer and the handler are put back.
+        self.assertEqual(signal.getitimer(signal.ITIMER_REAL), (0.0, 0.0))
+        self.assertIs(signal.getsignal(signal.SIGALRM), signal.SIG_DFL)
+
+    def test_slices_leave_canon_latencies_alone(self):
+        import reference
+        import run
+
+        def slow_sample(sample=reference.sample):
+            time.sleep(0.01)
+            return sample()
+
+        wl = workloads.WORKLOADS["canon_sym"]
+        state = wl.setup(self.lib, 7, True)
+        state.stream = state.stream * 20
+        sl = run.Slices(self.lib, state.probe, workloads.Check())
+        saved = run.SLICE_PERIOD, reference.sample
+        run.SLICE_PERIOD, reference.sample = 0.005, slow_sample
+        try:
+            t0 = time.perf_counter()
+            wall, chk, lat, _ = run.one_pass(wl, self.lib, state, slices=sl)
+            elapsed = time.perf_counter() - t0
+        finally:
+            run.SLICE_PERIOD, reference.sample = saved
+        self.assertEqual(chk.failed, 0)
+        # The slices took most of the pass, and none of their time is in
+        # the latencies measured inside it.
+        self.assertGreater(sl._state[0], elapsed / 2)
+        speed = max(sl.speeds)
+        self.assertLess(sum(lat), (elapsed - sl._state[0]) * speed)
+
     def test_families_are_distinct(self):
         pins = workloads.CanonSym.pins
         self.assertEqual(len(set(pins.values())), len(pins))
@@ -139,12 +220,14 @@ class Tracing(unittest.TestCase):
                                  for m in workloads.MODULES})
         lib.sat.solve_all = sorted
         tr = tracing.Tracer(lib)
-        with tr:
-            self.assertIsNot(lib.sat.solve_all, sorted)
-            self.assertEqual(lib.sat.solve_all([2, 1]), [1, 2])
-        self.assertIs(lib.sat.solve_all, sorted)
+        for _ in range(2):  # a traced run installs once per traced pass
+            with tr:
+                self.assertIsNot(lib.sat.solve_all, sorted)
+                self.assertEqual(lib.sat.solve_all([2, 1]), [1, 2])
+            self.assertIs(lib.sat.solve_all, sorted)
         self.assertEqual(len(tr.missing), len(tracing.TARGETS) - 1)
-        self.assertEqual(tr.counters["sat.models"], 2)
+        self.assertEqual(len(set(tr.missing)), len(tr.missing))
+        self.assertEqual(tr.counters["sat.models"], 4)
 
     def test_wrappers_restored_and_output_unchanged(self):
         lib = workloads.import_library(SRC)

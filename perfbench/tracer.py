@@ -156,6 +156,8 @@ class Tracer:
     def install(self):
         wrappers = {"call": self._wrap_call, "iter": self._wrap_iter,
                     "factory": self._wrap_factory}
+        # A traced run installs once per traced pass; list each name once.
+        self.missing = []
         for modname, attr, span, kind in TARGETS:
             module = getattr(self.lib, modname)
             original = getattr(module, attr, None)

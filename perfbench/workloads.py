@@ -23,12 +23,12 @@ import time
 from types import SimpleNamespace
 
 import families
+import probe_pool
 
 MODULES = ("canon", "generate", "graph", "graph6", "ramsey", "sat")
 
-# Inputs decoded, canonized and encoded by the canon-latency probe that
-# follows the passes of a generation workload.
-PROBE_INPUTS = 1024
+# Probe inputs of a generation workload in quick mode: the first ones of
+# its full pool.
 QUICK_PROBE_INPUTS = 16
 
 
@@ -90,12 +90,13 @@ class Check:
 
 # -- canonization streams (canon_sym passes and the latency probe) ----------
 
-def canon_stream(lib, stream, root_refine=False):
+def canon_stream(lib, stream, root_refine=False, clock=time.perf_counter):
     """Decode, canonize (with witness and orbits) and encode every input.
 
     ``stream`` holds ``(key, atom)`` pairs.  Returns one
     ``(key, graph, result, atom_out, seconds, error)`` row per input; the
-    seconds cover decode, canonize and encode only.  With ``root_refine``
+    seconds, read from ``clock``, cover decode, canonize and encode only.
+    With ``root_refine``
     the equitable refinement of the unit partition is also computed for
     each input, outside the timed section, so a traced pass can split the
     canonizer's time.
@@ -104,7 +105,6 @@ def canon_stream(lib, stream, root_refine=False):
     canonize = lib.canon.canonize
     encode = lib.graph6.encode_graph6
     unit = lib.graph.OrderedPartition.unit
-    clock = time.perf_counter
     rows = []
     for key, atom in stream:
         t0 = clock()
@@ -186,8 +186,9 @@ class Workload:
         """Build the inputs of one run from the seed."""
         raise NotImplementedError
 
-    def run(self, lib, state, root_refine=False):
-        """One pass; returns its raw output."""
+    def run(self, lib, state, root_refine=False, clock=time.perf_counter):
+        """One pass; returns its raw output.  A workload that times its
+        inputs reads ``clock``."""
         raise NotImplementedError
 
     def check(self, lib, state, out):
@@ -198,10 +199,6 @@ class Workload:
     def fingerprint(self, lib, out):
         """A value that two passes with equal outputs share."""
         raise NotImplementedError
-
-    def probe_stream(self, lib, state, out):
-        """Inputs of the canon-latency probe, built from checked output."""
-        return []
 
     def counts(self, out):
         """Per-pass counts that only the workload's output shows."""
@@ -215,10 +212,24 @@ class Generation(Workload):
     # per size: list of (pipeline argument, class count, stream digest)
     cases = {}
 
-    def setup(self, lib, seed, quick):
+    def pass_state(self, lib, quick):
+        """The pipeline calls of one pass and their expected results."""
         cases = self.cases["quick" if quick else "full"]
-        return SimpleNamespace(cases=cases, seed=seed, quick=quick,
+        return SimpleNamespace(cases=cases,
                                args=[self.argument(lib, c[0]) for c in cases])
+
+    def setup(self, lib, seed, quick):
+        """The pass, and the canon-latency probe: each pool input in a
+        seeded relabeling, keyed by its pinned canonical atom."""
+        state = self.pass_state(lib, quick)
+        pool = probe_pool.load(self.name)
+        if quick:
+            pool = pool[:QUICK_PROBE_INPUTS]
+        rng = random.Random(seed)
+        decode = lib.graph6.decode_graph6
+        state.probe = [(canonical, relabeled_atom(lib, decode(atom), rng))
+                       for atom, canonical in pool]
+        return state
 
     def argument(self, lib, arg):
         return arg
@@ -246,18 +257,6 @@ class Generation(Workload):
     def valid(self, lib, arg, g):
         return True
 
-    def probe_stream(self, lib, state, out):
-        rng = random.Random(state.seed)
-        pool = [g for gs in out for g in gs]
-        k = QUICK_PROBE_INPUTS if state.quick else PROBE_INPUTS
-        stream = []
-        for _ in range(k):
-            g = rng.choice(pool)
-            stream.append((lib.graph6.encode_graph6(g),
-                           relabeled_atom(lib, g, rng)))
-        return stream
-
-
 class Geng(Generation):
     name = "geng8"
     why = ("all graphs on 8 vertices: 145k canonizations of tiny graphs, "
@@ -269,7 +268,7 @@ class Geng(Generation):
                            "3c85f6422a413336f33b549d99f911f6")],
     }
 
-    def run(self, lib, state, root_refine=False):
+    def run(self, lib, state, root_refine=False, clock=time.perf_counter):
         return [lib.generate.all_nonisomorphic(n) for n in state.args]
 
 
@@ -287,7 +286,7 @@ class RamseyGT(Generation):
     def argument(self, lib, arg):
         return lib.ramsey.RamseyInstance(*arg)
 
-    def run(self, lib, state, root_refine=False):
+    def run(self, lib, state, root_refine=False, clock=time.perf_counter):
         return [lib.ramsey.gen_ramsey_gt(inst) for inst in state.args]
 
     def valid(self, lib, arg, g):
@@ -307,7 +306,7 @@ class RamseyCG(RamseyGT):
                                    "4cadc1d83c098d40d2ed521d8c2824c0")],
     }
 
-    def run(self, lib, state, root_refine=False):
+    def run(self, lib, state, root_refine=False, clock=time.perf_counter):
         return [lib.ramsey.gen_ramsey_cg(inst) for inst in state.args]
 
 
@@ -318,10 +317,10 @@ class CanonSym(Workload):
     # family name -> atom_digest of its canonical atom, pinned from the seed
     pins = {
         "empty4": "e8e7bfea1aeb3bc7", "empty8": "f1f03c016173ebe2",
-        "empty12": "92f1760053384c8c", "empty16": "6b4c69d3cd3163c9",
-        "empty18": "496f27c057599ab2", "K4": "d65ffb1d8d01ba8a",
+        "empty12": "92f1760053384c8c", "empty13": "1abc32d7476b8085",
+        "empty14": "d46bd71b8d35f529", "K4": "d65ffb1d8d01ba8a",
         "K8": "34fff80f29e6e5db", "K12": "12822a51461be78e",
-        "K16": "c4aa94dc99bef992", "K18": "a53aeff39a874587",
+        "K13": "97ee15dd962c5a72", "K14": "bcc11c11d58db769",
         "K2,2": "bb5f7ec2e32f0768", "K4,4": "210d028be01c4d96",
         "K6,6": "0818780c18041213", "K8,8": "67368fbbf7ec321a",
         "2xK5,5": "da6a371eddebf18d", "3xK4,4": "457aba9ca86c8fff",
@@ -358,11 +357,12 @@ class CanonSym(Workload):
         # the whole pass and not one stretch of it.
         rng.shuffle(stream)
         return SimpleNamespace(
-            stream=stream, orbits={f.name: f.orbits for f in fams},
+            stream=stream, probe=[],
+            orbits={f.name: f.orbits for f in fams},
             pins={f.name: self.pins.get(f.name) for f in fams})
 
-    def run(self, lib, state, root_refine=False):
-        return canon_stream(lib, state.stream, root_refine)
+    def run(self, lib, state, root_refine=False, clock=time.perf_counter):
+        return canon_stream(lib, state.stream, root_refine, clock)
 
     def check(self, lib, state, out):
         chk, latencies = check_canon_rows(lib, out, state.pins, state.orbits)
