@@ -18,20 +18,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import (
-    ADJ_MATRIX,
     Graph,
     GraphError,
     OrderedPartition,
     Permutation,
-    apply_permutation,
-    graph_convert,
 )
 
 
 @dataclass(frozen=True)
 class CanonOptions:
-    input_format: str = ADJ_MATRIX
-    output_format: str = ADJ_MATRIX
     initial_coloring: Optional[OrderedPartition] = None
 
 
@@ -275,16 +270,3 @@ def isomorphic(n: int, g1: Graph, g2: Graph,
         return None
     p = r2.permutation.inverse().compose(r1.permutation)
     return p, r1.canonic
-
-
-def canonize_value(n: int, value, opts: CanonOptions = CanonOptions()):
-    """Format-aware canonization: convert, canonize, convert back.
-
-    Returns (result, canonic value in opts.output_format).
-    """
-    matrix = graph_convert(n, opts.input_format, ADJ_MATRIX, value)
-    g = Graph.from_matrix(matrix)
-    result = canonize(g, opts)
-    out = graph_convert(n, ADJ_MATRIX, opts.output_format,
-                        result.canonic.to_matrix())
-    return result, out

@@ -37,14 +37,15 @@ def _read_graph_texts(stream, fmt: str, n: int):
     if fmt == GRAPH6_ATOM:
         return [ln for ln in lines if ln]
     if fmt == ADJ_MATRIX:
-        rows = [ln for ln in lines if ln]
-        if len(rows) % max(n, 1) != 0:
-            raise GraphError(f"expected groups of {n} matrix rows")
-        values = []
-        for i in range(0, len(rows), n):
-            values.append([[int(ch) for ch in row.replace(" ", "")]
-                           for row in rows[i:i + n]])
-        return values
+        rows = [ln.replace(" ", "") for ln in lines if ln]
+        if n < 1 or len(rows) % n != 0:
+            raise GraphError(f"{len(rows)} matrix rows do not split into "
+                             f"graphs of n={n} rows")
+        for row in rows:
+            if not set(row) <= {"0", "1"}:
+                raise GraphError(f"matrix row {row!r} is not 0/1 digits")
+        return [[[int(ch) for ch in row] for row in rows[i:i + n]]
+                for i in range(0, len(rows), n)]
     return [json.loads(ln) for ln in lines if ln]
 
 

@@ -18,7 +18,10 @@ MAX_GENERATE_N = 9  # desk-scale limit; 274668 classes at n=9
 
 
 def sort_canonical(graphs: Iterable[Graph]) -> list[Graph]:
-    """Sort by graph6 encoding and drop exact duplicates."""
+    """The reduce step: sort by graph6 encoding and drop exact duplicates.
+
+    graphs is consumed lazily, so a generator of canonical forms is reduced
+    without ever holding all of them at once."""
     seen = {}
     for g in graphs:
         seen[encode_graph6(g)] = g
@@ -33,19 +36,12 @@ def extend_and_reduce(graphs: Iterable[Graph],
 
     In strict mode the first input graph is spot-checked to be canonical.
     """
-    out = {}
-    checked = False
-    for g in graphs:
-        if strict and not checked:
-            if canonical_form(g) != g:
-                raise GraphError("input graph is not in canonical form")
-            checked = True
-        for h in extensions(g):
-            if keep is not None and not keep(h):
-                continue
-            c = canonical_form(h)
-            out[encode_graph6(c)] = c
-    return [out[k] for k in sorted(out)]
+    if strict:
+        graphs = list(graphs)
+        if graphs and canonical_form(graphs[0]) != graphs[0]:
+            raise GraphError("input graph is not in canonical form")
+    return sort_canonical(canonical_form(h) for g in graphs
+                          for h in extensions(g) if keep is None or keep(h))
 
 
 def all_nonisomorphic(n: int) -> list[Graph]:
@@ -65,13 +61,7 @@ def all_nonisomorphic(n: int) -> list[Graph]:
 def dedup_canonical(graphs: Iterable[Graph]) -> list[Graph]:
     """One canonical representative per isomorphism class in the input,
     sorted by graph6 encoding (shortg analog)."""
-    out = {}
-    n = None
-    for g in graphs:
-        if n is None:
-            n = g.n
-        elif g.n != n:
-            raise GraphError("mixed vertex counts in dedup input")
-        c = canonical_form(g)
-        out[encode_graph6(c)] = c
-    return [out[k] for k in sorted(out)]
+    graphs = list(graphs)
+    if len({g.n for g in graphs}) > 1:
+        raise GraphError("mixed vertex counts in dedup input")
+    return sort_canonical(canonical_form(g) for g in graphs)

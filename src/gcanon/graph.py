@@ -122,11 +122,16 @@ class Graph:
                 if x:
                     row |= 1 << v
             rows.append(row)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (rows[u] >> v & 1) != (rows[v] >> u & 1):
-                    raise GraphError(f"asymmetric adjacency at ({u},{v})")
-        return Graph(n, tuple(rows))
+        return _symmetric_graph(n, rows)
+
+
+def _symmetric_graph(n: int, rows: list[int]) -> Graph:
+    """Graph from bitmask rows, rejecting a non-symmetric adjacency."""
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (rows[u] >> v & 1) != (rows[v] >> u & 1):
+                raise GraphError(f"asymmetric adjacency at ({u},{v})")
+    return Graph(n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -240,21 +245,25 @@ def _check_vertex(n: int, v) -> int:
 
 
 def _from_adj_list(n: int, value) -> Graph:
-    if len(value) != n:
-        raise GraphError("adjacency list length does not match vertex count")
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise GraphError(f"adjacency list is not a list of {n} vertex lists")
     rows = [0] * n
     for u, nbrs in enumerate(value):
+        if not isinstance(nbrs, (list, tuple)):
+            raise GraphError(f"neighbours of vertex {u} are not a list")
         for v in nbrs:
             rows[u] |= 1 << _check_vertex(n, v)
-    g = Graph(n, tuple(rows))
-    return g
+    return _symmetric_graph(n, rows)
 
 
 def _from_edge_list(n: int, value) -> Graph:
+    if not isinstance(value, (list, tuple)):
+        raise GraphError("edge list is not a list of vertex pairs")
     edges = []
     for e in value:
-        u, v = e
-        edges.append((_check_vertex(n, u), _check_vertex(n, v)))
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise GraphError(f"edge {e!r} is not a vertex pair")
+        edges.append((_check_vertex(n, e[0]), _check_vertex(n, e[1])))
     return Graph.from_edges(n, edges)
 
 

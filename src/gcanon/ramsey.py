@@ -112,12 +112,8 @@ def gen_ramsey_gt(inst: RamseyInstance, *, canonize: bool = True,
         if canonize:
             acc = extend_and_reduce(acc, keep, strict=False)
         else:
-            new = []
-            for g in acc:
-                for h in extensions(g):
-                    if keep is None or keep(h):
-                        new.append(h)
-            acc = sort_canonical(new)
+            acc = sort_canonical(h for g in acc for h in extensions(g)
+                                 if keep is None or keep(h))
     return acc
 
 
@@ -214,12 +210,8 @@ def gen_ramsey_cg(inst: RamseyInstance) -> list[Graph]:
     the edge variables, decode, canonize, sort, dedup.  Agrees with
     gen_ramsey_gt as a set."""
     evm, formula = encode_ramsey(inst)
-    models = sat.solve_all(formula, evm.var.values())
-    out = {}
-    for m in models:
-        c = canonical_form(decode_model(evm, m))
-        out[encode_graph6(c)] = c
-    return [out[k] for k in sorted(out)]
+    return sort_canonical(canonical_form(decode_model(evm, m))
+                          for m in sat.solve_all(formula, evm.var.values()))
 
 
 def gen_ramsey_cg_trace(inst: RamseyInstance) -> PipelineStep:

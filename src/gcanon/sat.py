@@ -3,8 +3,9 @@
 The solver is plain DPLL with two-watched-literal unit propagation,
 branching on the lowest-numbered unassigned variable and trying false before
 true, so the model order is stable.  solve_all enumerates satisfying
-assignments modulo a projection set by re-solving under accumulated blocking
-clauses.
+assignments modulo a projection in one search: each model's projection is
+blocked by a clause and the search backtracks from there rather than
+restarting.  solve is the same search stopped at its first model.
 """
 
 from __future__ import annotations
@@ -19,104 +20,75 @@ class SatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Literal:
-    variable: int
-    sign: bool
-
-    def __post_init__(self):
-        if self.variable < 1:
-            raise SatError("variable ids start at 1")
-
-    def as_int(self) -> int:
-        return self.variable if self.sign else -self.variable
-
-    @staticmethod
-    def of(i: int) -> "Literal":
-        if i == 0:
-            raise SatError("0 is not a literal")
-        return Literal(abs(i), i > 0)
-
-
-@dataclass(frozen=True)
-class Clause:
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self):
-        if not self.literals:
-            raise SatError("empty clause")
-        seen = []
-        for lit in self.literals:
-            if lit not in seen:
-                seen.append(lit)
-        object.__setattr__(self, "literals", tuple(seen))
-
-    def is_tautology(self) -> bool:
-        pos = {l.variable for l in self.literals if l.sign}
-        neg = {l.variable for l in self.literals if not l.sign}
-        return bool(pos & neg)
-
-    def as_ints(self) -> list[int]:
-        return [l.as_int() for l in self.literals]
-
-    @staticmethod
-    def of(ints: Iterable[int]) -> "Clause":
-        return Clause(tuple(Literal.of(i) for i in ints))
-
-
-@dataclass(frozen=True)
 class CnfFormula:
+    """Clauses over variables 1..num_vars as tuples of DIMACS literals.
+
+    Validated once, here: literal 0, a literal beyond num_vars, an empty
+    clause and a negative num_vars are rejected; duplicate literals are
+    removed keeping their order, and tautologies are dropped."""
+
     num_vars: int
-    clauses: tuple[Clause, ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise SatError(f"negative variable count {self.num_vars}")
         kept = []
-        for c in self.clauses:
-            for lit in c.literals:
-                if lit.variable > self.num_vars:
+        for clause in self.clauses:
+            lits = dict.fromkeys(clause)
+            if not lits:
+                raise SatError("empty clause")
+            for lit in lits:
+                if lit == 0:
+                    raise SatError("0 is not a literal")
+                if abs(lit) > self.num_vars:
                     raise SatError(
-                        f"literal on variable {lit.variable} exceeds "
+                        f"literal on variable {abs(lit)} exceeds "
                         f"num_vars={self.num_vars}")
-            if not c.is_tautology():
-                kept.append(c)
+            if not any(-lit in lits for lit in lits):
+                kept.append(tuple(lits))
         object.__setattr__(self, "clauses", tuple(kept))
 
     @staticmethod
     def of(num_vars: int, int_clauses: Iterable[Iterable[int]]) -> "CnfFormula":
-        return CnfFormula(num_vars, tuple(Clause.of(c) for c in int_clauses))
+        return CnfFormula(num_vars, tuple(int_clauses))
 
 
 @dataclass(frozen=True)
 class Model:
-    assignment: dict[int, bool]
+    """A satisfying assignment over every variable: m[v] is values[v-1]."""
+
+    values: list[bool]
 
     def __getitem__(self, var: int) -> bool:
-        return self.assignment[var]
+        if var < 1:
+            raise KeyError(var)
+        try:
+            return self.values[var - 1]
+        except IndexError:
+            raise KeyError(var) from None
 
 
 class DpllSolver:
-    """Incremental DPLL instance: clauses may be added between solve calls;
-    every solve restarts from an empty trail."""
+    """DPLL over a fixed clause set.  enumerate_projected runs the one
+    search of an instance, adding its blocking clauses as it goes."""
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
         # one extra slot: a sentinel variable pinned false, used to pad
         # unit blocking clauses up to the two-watch minimum
-        self.val: list[Optional[bool]] = [None] * (num_vars + 2)
+        self.val: list[Optional[bool]] = [None] * (num_vars + 1) + [False]
         self.pos: list[int] = [0] * (num_vars + 2)
         self.watches: dict[int, list] = {}
         self.units: list[int] = []
-        self.has_empty = False
         self.trail: list[int] = []
 
     def add_clause(self, lits: Sequence[int]) -> None:
-        lits = list(dict.fromkeys(lits))
-        if not lits:
-            self.has_empty = True
-            return
+        """Add a non-empty clause without repeated literals."""
         if len(lits) == 1:
             self.units.append(lits[0])
             return
-        clause = lits
+        clause = list(lits)
         self.watches.setdefault(clause[0], []).append(clause)
         self.watches.setdefault(clause[1], []).append(clause)
 
@@ -164,13 +136,8 @@ class DpllSolver:
                     i += 1
         return True
 
-    def _reset(self) -> bool:
-        """Clear the trail and re-propagate unit clauses; False on conflict."""
-        for v in range(1, self.num_vars + 2):
-            self.val[v] = None
-        self.trail = []
-        self.val[self.num_vars + 1] = False  # sentinel, pinned at root
-        self.pos[self.num_vars + 1] = 0
+    def _assert_units(self) -> bool:
+        """Assign and propagate the unit clauses; False on conflict."""
         for u in self.units:
             v = self._value(u)
             if v is False:
@@ -208,25 +175,6 @@ class DpllSolver:
             if self._propagate(len(self.trail) - 1):
                 return ptr
 
-    def solve(self) -> Optional[list[bool]]:
-        """One model (val[1..num_vars]) or None if unsatisfiable."""
-        if self.has_empty or not self._reset():
-            return None
-        decisions: list[list] = []  # [trail mark, variable, flipped]
-        ptr = 1
-        while True:
-            while ptr <= self.num_vars and self.val[ptr] is not None:
-                ptr += 1
-            if ptr > self.num_vars:
-                return self.val[1:self.num_vars + 1]
-            decisions.append([len(self.trail), ptr, False])
-            self._assign(-ptr)  # try false first
-            if not self._propagate(len(self.trail) - 1):
-                nxt = self._resolve(decisions, ptr)
-                if nxt is None:
-                    return None
-                ptr = nxt
-
     def enumerate_projected(self, projection: Sequence[int]
                             ) -> list[list[bool]]:
         """All models pairwise distinct on the projection variables.
@@ -236,9 +184,10 @@ class DpllSolver:
         variable, so no projection assignment is ever reported twice.
         Models arrive in the same lexicographic (false-first, lowest
         variable most significant) order a restart-per-model loop would
-        produce."""
+        produce.  With an empty projection only the first model is
+        returned."""
         models: list[list[bool]] = []
-        if self.has_empty or not self._reset():
+        if not self._assert_units():
             return models
         nv = self.num_vars
         proj = sorted(set(projection))
@@ -277,19 +226,10 @@ class DpllSolver:
             ptr = nxt
 
 
-def _build_solver(f: CnfFormula) -> DpllSolver:
-    solver = DpllSolver(f.num_vars)
-    for c in f.clauses:
-        solver.add_clause(c.as_ints())
-    return solver
-
-
 def solve(f: CnfFormula) -> Optional[Model]:
     """A satisfying model, or None iff the formula is unsatisfiable."""
-    raw = _build_solver(f).solve()
-    if raw is None:
-        return None
-    return Model({v: raw[v - 1] for v in range(1, f.num_vars + 1)})
+    models = solve_all(f, ())
+    return models[0] if models else None
 
 
 def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[Model]:
@@ -297,22 +237,30 @@ def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[Model]:
 
     After each model the clause negating its projection is added before the
     search resumes, so exactly one model per satisfiable projection
-    assignment is returned.
+    assignment is returned; an empty projection gives the first model only.
     """
     proj = sorted(set(projection))
     for v in proj:
         if not 1 <= v <= f.num_vars:
             raise SatError(f"projection variable {v} out of range")
-    solver = _build_solver(f)
-    return [Model({v: raw[v - 1] for v in range(1, f.num_vars + 1)})
-            for raw in solver.enumerate_projected(proj)]
+    solver = DpllSolver(f.num_vars)
+    for c in f.clauses:
+        solver.add_clause(c)
+    return [Model(raw) for raw in solver.enumerate_projected(proj)]
 
 
 def to_dimacs(f: CnfFormula) -> str:
     lines = [f"p cnf {f.num_vars} {len(f.clauses)}"]
     for c in f.clauses:
-        lines.append(" ".join(str(i) for i in c.as_ints()) + " 0")
+        lines.append(" ".join(map(str, c)) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def _dimacs_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise SatError(f"not an integer in DIMACS text: {tok!r}") from None
 
 
 def from_dimacs(text: str) -> CnfFormula:
@@ -328,18 +276,17 @@ def from_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise SatError(f"malformed DIMACS header: {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            num_vars = _dimacs_int(parts[2])
+            num_clauses = _dimacs_int(parts[3])
             continue
         if num_vars is None:
             raise SatError("clause before DIMACS header")
         for tok in line.split():
-            i = int(tok)
+            i = _dimacs_int(tok)
             if i == 0:
                 clauses.append(tokens)
                 tokens = []
             else:
-                if abs(i) > num_vars:
-                    raise SatError(f"literal {i} out of declared range")
                 tokens.append(i)
     if num_vars is None:
         raise SatError("missing DIMACS header")

@@ -140,7 +140,7 @@ def test_09_sat_completeness():
         truth = set()
         for bits in itertools.product([False, True], repeat=nv):
             value = {v: bits[v - 1] for v in range(1, nv + 1)}
-            if all(any(value[l.variable] == l.sign for l in c.literals)
+            if all(any(value[abs(lit)] == (lit > 0) for lit in c)
                    for c in f.clauses):
                 truth.add(tuple(value[v] for v in proj))
         assert (sat.solve(f) is not None) == bool(truth)

@@ -7,12 +7,10 @@ from gcanon.canon import (
     CanonOptions,
     canonical_form,
     canonize,
-    canonize_value,
     isomorphic,
     refine_equitable,
 )
 from gcanon.graph import (
-    GRAPH6_ATOM,
     Graph,
     GraphError,
     OrderedPartition,
@@ -253,11 +251,3 @@ class TestColoredCanonization:
         with pytest.raises(GraphError):
             canonize(Graph.empty(4),
                      CanonOptions(initial_coloring=OrderedPartition(((0, 1),))))
-
-
-def test_canonize_value_graph6_round_trip():
-    opts = CanonOptions(input_format=GRAPH6_ATOM, output_format=GRAPH6_ATOM)
-    result, out = canonize_value(5, "DqK", opts)
-    assert isinstance(out, str)
-    from gcanon.graph6 import decode_graph6
-    assert decode_graph6(out) == result.canonic

@@ -59,6 +59,26 @@ class TestConvert:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv,stdin", [
+        (["convert", "--from", "edge-list", "--to", "graph6"], "[[0,1,2]]"),
+        (["convert", "--from", "edge-list", "--to", "graph6"], '{"a":1}'),
+        (["convert", "--from", "edge-list", "--to", "graph6"], "[5]"),
+        (["convert", "--from", "adj-list", "--to", "adj-matrix"],
+         "[[1],[],[]]"),
+        (["canon", "--fmt", "adj-list"], "[[1],[0],5]"),
+        (["convert", "--from", "adj-matrix", "--to", "graph6"],
+         "01x\n101\n010"),
+    ], ids=["edge-triple", "edge-dict", "edge-int", "adj-asymmetric",
+            "adj-int", "matrix-char"])
+    def test_malformed_input_is_one_error_line(self, capsys, monkeypatch,
+                                               argv, stdin):
+        code, out, err = cli(capsys, monkeypatch, argv + ["--n", "3"],
+                             stdin=stdin + "\n")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
 
 class TestCanon:
     def test_all_five_cycles_map_to_one_atom(self, capsys, monkeypatch):

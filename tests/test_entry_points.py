@@ -1,0 +1,44 @@
+"""The module entry point and the scripts, run as separate processes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def class_counts(text):
+    """Per-section class-count columns of a script's tab-separated table."""
+    sections, rows = [], None
+    for line in text.splitlines():
+        cols = line.split("\t")
+        if cols[:2] == ["n", "classes"]:
+            rows = []
+            sections.append(rows)
+        elif rows is not None and len(cols) > 1:
+            rows.append(int(cols[1]))
+    return sections
+
+
+def test_python_m_gcanon():
+    assert len(run_python("-m", "gcanon", "geng", "4").splitlines()) == 11
+
+
+def test_count_classes_script():
+    out = run_python("scripts/count_classes.py", "--max-n", "5")
+    assert class_counts(out) == [[1, 2, 4, 11, 34]]
+
+
+def test_ramsey_tables_script():
+    out = run_python("scripts/ramsey_tables.py", "--max-n", "6",
+                     "--cg-max-n", "5")
+    assert class_counts(out) == [[1, 2, 3, 7, 13, 32], [1, 2, 3, 7, 13]]

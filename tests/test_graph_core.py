@@ -91,6 +91,10 @@ class TestConvert:
         with pytest.raises(GraphError):
             graph_convert(3, EDGE_LIST, ADJ_MATRIX, [(0, 5)])
 
+    def test_asymmetric_adj_list_rejected(self):
+        with pytest.raises(GraphError):
+            graph_convert(3, ADJ_LIST, ADJ_MATRIX, [[1], [], []])
+
     def test_unknown_format(self):
         with pytest.raises(GraphError):
             graph_convert(3, "dot", ADJ_MATRIX, "")

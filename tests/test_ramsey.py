@@ -112,7 +112,7 @@ class TestEncoding:
 
     def test_subset_clauses_present(self):
         evm, f = encode_ramsey(RamseyInstance(3, 3, 5))
-        ints = [sorted(c.as_ints()) for c in f.clauses]
+        ints = [sorted(c) for c in f.clauses]
         a, b, e = evm[(0, 1)], evm[(0, 2)], evm[(1, 2)]
         # triple {0,1,2}: at least one edge, at least one non-edge
         assert sorted([a, b, e]) in ints
@@ -122,7 +122,7 @@ class TestEncoding:
         # rows 0 and 1 compared with columns 0,1 removed: first positions
         # are edge {0,2} vs edge {1,2}, giving the clause (not x) or y
         evm, f = encode_ramsey(RamseyInstance(3, 3, 5))
-        ints = [c.as_ints() for c in f.clauses]
+        ints = [list(c) for c in f.clauses]
         assert [-evm[(0, 2)], evm[(1, 2)]] in ints
 
     def test_unsatisfiable_corner(self):

@@ -6,9 +6,8 @@ import pytest
 from gcanon.ramsey import RamseyInstance, decode_model, encode_ramsey, \
     is_ramsey
 from gcanon.sat import (
-    Clause,
     CnfFormula,
-    Literal,
+    Model,
     SatError,
     from_dimacs,
     solve,
@@ -28,10 +27,15 @@ def truth_table_models(f, projection=None):
     found = set()
     for bits in itertools.product([False, True], repeat=f.num_vars):
         value = {v: bits[v - 1] for v in range(1, f.num_vars + 1)}
-        if all(any(value[l.variable] == l.sign for l in c.literals)
-               for c in f.clauses):
+        if satisfies(value, f):
             found.add(tuple(value[v] for v in proj))
     return found
+
+
+def satisfies(value, f):
+    """Does the assignment (anything indexable by variable) satisfy f?"""
+    return all(any(value[abs(lit)] == (lit > 0) for lit in c)
+               for c in f.clauses)
 
 
 def random_cnf(rng, num_vars, num_clauses, width=3):
@@ -44,23 +48,23 @@ def random_cnf(rng, num_vars, num_clauses, width=3):
 
 class TestValueTypes:
     def test_literal_int_round_trip(self):
-        assert Literal.of(-7).as_int() == -7
-        assert Literal.of(7) == Literal(7, True)
+        f = CnfFormula.of(7, [[-7], [7, -1]])
+        assert f.clauses == ((-7,), (7, -1))
 
     def test_literal_rejects_zero(self):
         with pytest.raises(SatError):
-            Literal.of(0)
+            CnfFormula.of(2, [[1, 0]])
 
     def test_clause_dedups(self):
-        assert Clause.of([1, -2, 1]).as_ints() == [1, -2]
+        assert CnfFormula.of(2, [[1, -2, 1]]).clauses == ((1, -2),)
 
     def test_clause_rejects_empty(self):
         with pytest.raises(SatError):
-            Clause.of([])
+            CnfFormula.of(2, [[]])
 
     def test_tautology_detection(self):
-        assert Clause.of([1, -1]).is_tautology()
-        assert not Clause.of([1, -2]).is_tautology()
+        assert CnfFormula.of(2, [[1, 2, -1]]).clauses == ()
+        assert CnfFormula.of(2, [[1, -2]]).clauses == ((1, -2),)
 
     def test_formula_drops_tautologies(self):
         f = CnfFormula.of(2, [[1, -1], [1, 2]])
@@ -69,6 +73,19 @@ class TestValueTypes:
     def test_formula_rejects_out_of_range(self):
         with pytest.raises(SatError):
             CnfFormula.of(2, [[3]])
+        with pytest.raises(SatError):
+            CnfFormula.of(2, [[-3]])
+
+    def test_formula_rejects_negative_num_vars(self):
+        with pytest.raises(SatError):
+            CnfFormula.of(-1, [])
+
+    def test_model_reads_every_variable(self):
+        m = Model([False, True])
+        assert (m[1], m[2]) == (False, True)
+        for var in (0, -1, 3):
+            with pytest.raises(KeyError):
+                m[var]
 
 
 class TestSolve:
@@ -90,8 +107,7 @@ class TestSolve:
             if m is None:
                 assert not truth_table_models(f)
             else:
-                assert all(any(m[l.variable] == l.sign for l in c.literals)
-                           for c in f.clauses)
+                assert satisfies(m, f)
 
     def test_status_matches_truth_table(self):
         rng = random.Random(7)
@@ -135,15 +151,14 @@ class TestSolveAll:
             assert len(set(got)) == len(got)
             assert set(got) == truth_table_models(f, proj)
             for m in models:
-                assert all(any(m[l.variable] == l.sign for l in c.literals)
-                           for c in f.clauses)
+                assert satisfies(m, f)
 
 
 class TestDimacs:
     def test_known_text_parses(self):
         f = from_dimacs("p cnf 2 1\n1 -2 0\n")
         assert f.num_vars == 2
-        assert f.clauses[0].as_ints() == [1, -2]
+        assert f.clauses == ((1, -2),)
 
     def test_comments_and_blank_lines_skipped(self):
         f = from_dimacs("c a comment\n\np cnf 2 1\nc another\n1 2 0\n")
@@ -151,7 +166,7 @@ class TestDimacs:
 
     def test_clause_split_across_lines(self):
         f = from_dimacs("p cnf 3 1\n1 2\n3 0\n")
-        assert f.clauses[0].as_ints() == [1, 2, 3]
+        assert f.clauses == ((1, 2, 3),)
 
     def test_round_trip(self):
         rng = random.Random(17)
@@ -159,8 +174,7 @@ class TestDimacs:
             f = random_cnf(rng, 6, 10)
             g = from_dimacs(to_dimacs(f))
             assert g.num_vars == f.num_vars
-            assert [c.as_ints() for c in g.clauses] == \
-                [c.as_ints() for c in f.clauses]
+            assert g.clauses == f.clauses
 
     def test_rejects_missing_header(self):
         with pytest.raises(SatError):
@@ -177,6 +191,16 @@ class TestDimacs:
     def test_rejects_out_of_range_literal(self):
         with pytest.raises(SatError):
             from_dimacs("p cnf 2 1\n3 0\n")
+
+    @pytest.mark.parametrize("text", [
+        "p cnf x 1\n1 0\n",
+        "p cnf 2 y\n1 0\n",
+        "p cnf 2 1\na 0\n",
+        "p cnf -1 0\n",
+    ])
+    def test_rejects_malformed_numbers(self, text):
+        with pytest.raises(SatError):
+            from_dimacs(text)
 
 
 def test_ramsey_encoding_dimacs_round_trip():
