@@ -245,7 +245,7 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
         labeling=lab,
         permutation=lab.inverse(),
         orbits=orbits,
-        canonic=Graph(g.n, crows),
+        canonic=Graph._trusted(g.n, crows),
         partition=OrderedPartition(tuple(root)),
     )
 
@@ -253,7 +253,7 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
 def canonical_form(g: Graph) -> Graph:
     """Canonical representative of g's isomorphism class."""
     _, crows, _, _ = _canonize_rows(g.rows, g.n)
-    return Graph(g.n, crows)
+    return Graph._trusted(g.n, crows)
 
 
 def isomorphic(n: int, g1: Graph, g2: Graph,

@@ -121,15 +121,14 @@ def _cmd_ramsey(args) -> int:
         sys.stdout.write(sat.to_dimacs(formula))
         return 0
     if args.stats:
+        stats = generate.Stats(
+            lambda *row: print("{}\t{}\t{:.2f}\t{:.2f}".format(*row)))
         if args.mode == "gt":
-            steps = ramsey.gen_ramsey_gt_trace(inst)
+            ramsey.gen_ramsey_gt(inst, stats=stats)
         else:
-            steps = (ramsey.gen_ramsey_cg_trace(
-                ramsey.RamseyInstance(args.s, args.t, k))
-                for k in range(1, args.n + 1))
-        for step in steps:
-            print(f"{step.n}\t{len(step.graphs)}\t"
-                  f"{step.total_seconds:.2f}\t{step.canon_seconds:.2f}")
+            for k in range(1, args.n + 1):
+                ramsey.gen_ramsey_cg(ramsey.RamseyInstance(args.s, args.t, k),
+                                     stats=stats)
         return 0
     if args.mode == "gt":
         graphs = ramsey.gen_ramsey_gt(inst)

@@ -3,11 +3,12 @@
 Native analogs of the gtools programs geng (all non-isomorphic graphs on n
 vertices) and shortg (remove isomorphic duplicates), built on the
 extend-and-reduce loop: extend every canonical graph by one vertex in all
-2^n ways, filter, canonize, sort, dedup.
+2^n ways, filter, canonize, sort, dedup; a Stats sink times each level.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Iterable, Optional
 
 from .canon import canonical_form
@@ -15,6 +16,29 @@ from .graph import Graph, GraphError, extensions
 from .graph6 import encode_graph6
 
 MAX_GENERATE_N = 9  # desk-scale limit; 274668 classes at n=9
+
+
+class Stats:
+    """Per-level sink of the pipelines: they canonize through its timed
+    canonical_form, and level(n, graphs) hands (n, classes, seconds,
+    canon_seconds) to the row callback, then restarts both clocks."""
+
+    def __init__(self, row: Callable[[int, int, float, float], None]):
+        self._row = row
+        self._canon_seconds = 0.0
+        self._start = time.perf_counter()
+
+    def canonical_form(self, g: Graph) -> Graph:
+        t0 = time.perf_counter()
+        c = canonical_form(g)
+        self._canon_seconds += time.perf_counter() - t0
+        return c
+
+    def level(self, n: int, graphs: list[Graph]) -> None:
+        self._row(n, len(graphs), time.perf_counter() - self._start,
+                  self._canon_seconds)
+        self._canon_seconds = 0.0
+        self._start = time.perf_counter()
 
 
 def sort_canonical(graphs: Iterable[Graph]) -> list[Graph]:
@@ -30,17 +54,20 @@ def sort_canonical(graphs: Iterable[Graph]) -> list[Graph]:
 
 def extend_and_reduce(graphs: Iterable[Graph],
                       keep: Optional[Callable[[Graph], bool]] = None,
-                      strict: bool = True) -> list[Graph]:
+                      strict: bool = True,
+                      stats: Optional[Stats] = None) -> list[Graph]:
     """One extend-test-reduce step: all one-vertex extensions of the given
     canonical graphs, filtered by keep, canonized, sorted, deduplicated.
 
     In strict mode the first input graph is spot-checked to be canonical.
+    A stats sink canonizes; the caller, which knows n, closes the level.
     """
     if strict:
         graphs = list(graphs)
         if graphs and canonical_form(graphs[0]) != graphs[0]:
             raise GraphError("input graph is not in canonical form")
-    return sort_canonical(canonical_form(h) for g in graphs
+    canon = canonical_form if stats is None else stats.canonical_form
+    return sort_canonical(canon(h) for g in graphs
                           for h in extensions(g) if keep is None or keep(h))
 
 

@@ -44,13 +44,27 @@ class Graph:
                 f"n={self.n} exceeds vertex cap {DEFAULT_VERTEX_CAP}")
         if len(self.rows) != self.n:
             raise GraphError("row count does not match vertex count")
-        # Cheap O(n) checks only; from_matrix does the full symmetry check.
         full = (1 << self.n) - 1
         for u, row in enumerate(self.rows):
             if row & ~full:
                 raise GraphError(f"row {u} has bits outside [0,{self.n})")
             if row >> u & 1:
                 raise GraphError(f"self loop at vertex {u}")
+            while row:
+                v = (row & -row).bit_length() - 1
+                row &= row - 1
+                if not self.rows[v] >> u & 1:
+                    raise GraphError(f"asymmetric adjacency at ({u},{v})")
+
+    @staticmethod
+    def _trusted(n: int, rows: tuple[int, ...]) -> "Graph":
+        """Graph from rows derived from a valid graph: no __post_init__,
+        whose checks cost more than the construction on the hot path.
+        Writing through __dict__ instead costs a dict (64 bytes) a graph."""
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -101,8 +115,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
@@ -122,16 +134,7 @@ class Graph:
                 if x:
                     row |= 1 << v
             rows.append(row)
-        return _symmetric_graph(n, rows)
-
-
-def _symmetric_graph(n: int, rows: list[int]) -> Graph:
-    """Graph from bitmask rows, rejecting a non-symmetric adjacency."""
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (rows[u] >> v & 1) != (rows[v] >> u & 1):
-                raise GraphError(f"asymmetric adjacency at ({u},{v})")
-    return Graph(n, tuple(rows))
+        return Graph(n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,7 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
             v = (row & -row).bit_length() - 1
             row &= row - 1
             rows[pu] |= 1 << p.map[v]
-    return Graph(g.n, tuple(rows))
+    return Graph._trusted(g.n, tuple(rows))
 
 
 def extensions(g: Graph) -> Iterator[Graph]:
@@ -224,11 +227,12 @@ def extensions(g: Graph) -> Iterator[Graph]:
         raise VertexCapExceeded("extension would exceed vertex cap")
     n1 = g.n + 1
     newbit = 1 << g.n
+    trusted = Graph._trusted
     for mask in range(1 << g.n):
         rows = [g.rows[u] | newbit if mask >> u & 1 else g.rows[u]
                 for u in range(g.n)]
         rows.append(mask)
-        yield Graph(n1, tuple(rows))
+        yield trusted(n1, tuple(rows))
 
 
 def k_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -253,7 +257,7 @@ def _from_adj_list(n: int, value) -> Graph:
             raise GraphError(f"neighbours of vertex {u} are not a list")
         for v in nbrs:
             rows[u] |= 1 << _check_vertex(n, v)
-    return _symmetric_graph(n, rows)
+    return Graph(n, tuple(rows))
 
 
 def _from_edge_list(n: int, value) -> Graph:
@@ -276,17 +280,22 @@ def graph_convert(n: int, from_fmt: str, to_fmt: str, value):
     for fmt in (from_fmt, to_fmt):
         if fmt not in FORMATS:
             raise GraphError(f"unknown graph format {fmt!r}")
+    if n > DEFAULT_VERTEX_CAP:  # before a reader allocates n rows
+        raise VertexCapExceeded(f"n={n} exceeds vertex cap")
     from . import graph6
 
     if from_fmt == ADJ_MATRIX:
-        if len(value) != n:
-            raise GraphError("matrix size does not match declared n")
+        if not isinstance(value, (list, tuple)) or len(value) != n or not all(
+                isinstance(row, (list, tuple)) for row in value):
+            raise GraphError(f"adjacency matrix is not a list of {n} rows")
         g = Graph.from_matrix(value)
     elif from_fmt == ADJ_LIST:
         g = _from_adj_list(n, value)
     elif from_fmt == EDGE_LIST:
         g = _from_edge_list(n, value)
     else:
+        if not isinstance(value, str):
+            raise GraphError("graph6 atom is not a string")
         g = graph6.decode_graph6(value)
         if g.n != n:
             raise GraphError(

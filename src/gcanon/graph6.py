@@ -66,7 +66,7 @@ def decode_graph6(atom: str, strict: bool = True) -> Graph:
             if bits >> pos & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._trusted(n, tuple(rows))
 
 
 def write_graph6_lines(graphs: Iterable[Graph]) -> str:

@@ -1,6 +1,6 @@
 """Ramsey coloring search: the property test, the generate-test-reduce
 pipeline, and the constrain-generate-reduce pipeline over a CNF encoding
-with lexicographic symmetry breaking.
+with lexicographic symmetry breaking; both can report levels to a Stats sink.
 
 Convention (matching the generate-side code): an edge is color 1.  A graph
 is a Ramsey (s,t;n) coloring when no s vertices are pairwise non-adjacent
@@ -10,15 +10,14 @@ is a Ramsey (s,t;n) coloring when no s vertices are pairwise non-adjacent
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Optional
 
 from . import sat
 from .canon import canonical_form
-from .generate import extend_and_reduce, sort_canonical
+from .generate import Stats, extend_and_reduce, sort_canonical
 from .graph import Graph, GraphError, extensions, k_subsets
-from .graph6 import encode_graph6
+from .graph6 import encode_graph6  # unused; perfbench/tracer.py wraps it here
 
 
 @dataclass(frozen=True)
@@ -99,50 +98,26 @@ def _extension_keep(s: int, t: int):
 
 
 def gen_ramsey_gt(inst: RamseyInstance, *, canonize: bool = True,
-                  ramsey_filter: bool = True) -> list[Graph]:
+                  ramsey_filter: bool = True,
+                  stats: Optional[Stats] = None) -> list[Graph]:
     """Generate-test-reduce: grow from the empty graph one vertex at a time,
     keeping Ramsey extensions and reducing to canonical representatives.
 
     The two keyword flags disable the reduce and test steps (then labeled
     solutions, all non-isomorphic graphs, or all labeled graphs come out).
+    A stats sink gets one row per vertex count 1..n.
     """
     acc = [Graph.empty(0)]
     for i in range(inst.n):
         keep = _extension_keep(inst.s, inst.t) if ramsey_filter else None
         if canonize:
-            acc = extend_and_reduce(acc, keep, strict=False)
+            acc = extend_and_reduce(acc, keep, strict=False, stats=stats)
         else:
             acc = sort_canonical(h for g in acc for h in extensions(g)
                                  if keep is None or keep(h))
+        if stats is not None:
+            stats.level(i + 1, acc)
     return acc
-
-
-@dataclass
-class PipelineStep:
-    n: int
-    graphs: list[Graph]
-    total_seconds: float
-    canon_seconds: float
-
-
-def gen_ramsey_gt_trace(inst: RamseyInstance) -> Iterator[PipelineStep]:
-    """gen_ramsey_gt with per-size timing, for stats reporting."""
-    acc = [Graph.empty(0)]
-    for i in range(inst.n):
-        t0 = time.perf_counter()
-        canon_time = 0.0
-        keep = _extension_keep(inst.s, inst.t)
-        out = {}
-        for g in acc:
-            for h in extensions(g):
-                if not keep(h):
-                    continue
-                c0 = time.perf_counter()
-                c = canonical_form(h)
-                canon_time += time.perf_counter() - c0
-                out[encode_graph6(c)] = c
-        acc = [out[k] for k in sorted(out)]
-        yield PipelineStep(i + 1, acc, time.perf_counter() - t0, canon_time)
 
 
 def _lex_leq(xs, ys, next_var: int, clauses) -> int:
@@ -205,27 +180,15 @@ def decode_model(evm: EdgeVarMap, model: sat.Model) -> Graph:
     return Graph.from_edges(evm.n, edges)
 
 
-def gen_ramsey_cg(inst: RamseyInstance) -> list[Graph]:
+def gen_ramsey_cg(inst: RamseyInstance, *,
+                  stats: Optional[Stats] = None) -> list[Graph]:
     """Constrain-generate-reduce: encode, enumerate all models projected on
     the edge variables, decode, canonize, sort, dedup.  Agrees with
-    gen_ramsey_gt as a set."""
+    gen_ramsey_gt as a set.  A stats sink gets one row, for n."""
+    canon = canonical_form if stats is None else stats.canonical_form
     evm, formula = encode_ramsey(inst)
-    return sort_canonical(canonical_form(decode_model(evm, m))
-                          for m in sat.solve_all(formula, evm.var.values()))
-
-
-def gen_ramsey_cg_trace(inst: RamseyInstance) -> PipelineStep:
-    """One timed constrain-generate-reduce run."""
-    t0 = time.perf_counter()
-    evm, formula = encode_ramsey(inst)
-    models = sat.solve_all(formula, evm.var.values())
-    canon_time = 0.0
-    out = {}
-    for m in models:
-        g = decode_model(evm, m)
-        c0 = time.perf_counter()
-        c = canonical_form(g)
-        canon_time += time.perf_counter() - c0
-        out[encode_graph6(c)] = c
-    graphs = [out[k] for k in sorted(out)]
-    return PipelineStep(inst.n, graphs, time.perf_counter() - t0, canon_time)
+    graphs = sort_canonical(canon(decode_model(evm, m))
+                            for m in sat.solve_all(formula, evm.var.values()))
+    if stats is not None:
+        stats.level(inst.n, graphs)
+    return graphs

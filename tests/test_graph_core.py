@@ -43,6 +43,8 @@ class TestGraphValue:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
             Graph(2, (1, 2))
+        with pytest.raises(GraphError, match="self loop"):
+            Graph.from_edges(2, [(1, 1)])
 
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(GraphError):
@@ -51,6 +53,11 @@ class TestGraphValue:
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(GraphError):
             Graph.from_matrix([[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("rows", [(2, 0, 0), (0, 0, 2), (6, 1, 0)])
+    def test_rejects_asymmetric_rows(self, rows):
+        with pytest.raises(GraphError, match="asymmetric"):
+            Graph(3, rows)
 
     def test_rejects_above_cap(self):
         with pytest.raises(VertexCapExceeded):
@@ -94,6 +101,21 @@ class TestConvert:
     def test_asymmetric_adj_list_rejected(self):
         with pytest.raises(GraphError):
             graph_convert(3, ADJ_LIST, ADJ_MATRIX, [[1], [], []])
+
+    @pytest.mark.parametrize("fmt, value", [
+        (ADJ_MATRIX, [1, 0]),
+        (ADJ_MATRIX, {0: 1, 1: 2}),
+        (ADJ_MATRIX, None),
+        (GRAPH6_ATOM, 5),
+        (GRAPH6_ATOM, ["A_"]),
+    ])
+    def test_mistyped_value_is_graph_error(self, fmt, value):
+        with pytest.raises(GraphError):
+            graph_convert(2, fmt, ADJ_MATRIX, value)
+
+    def test_huge_n_rejected_before_allocation(self):
+        with pytest.raises(VertexCapExceeded):
+            graph_convert(2 ** 70, EDGE_LIST, ADJ_MATRIX, [])
 
     def test_unknown_format(self):
         with pytest.raises(GraphError):

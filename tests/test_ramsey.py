@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from gcanon.canon import canonical_form
-from gcanon.generate import dedup_canonical
+from gcanon.generate import Stats, dedup_canonical
 from gcanon.graph import Graph, GraphError
 from gcanon.ramsey import (
     EdgeVarMap,
@@ -12,7 +12,6 @@ from gcanon.ramsey import (
     encode_ramsey,
     gen_ramsey_cg,
     gen_ramsey_gt,
-    gen_ramsey_gt_trace,
     is_ramsey,
 )
 from gcanon import sat
@@ -94,10 +93,12 @@ class TestGenerateTestReduce:
         assert all(canonical_form(g) == g for g in out)
 
     def test_trace_matches_direct_run(self):
-        steps = list(gen_ramsey_gt_trace(RamseyInstance(3, 5, 6)))
-        assert [s.n for s in steps] == [1, 2, 3, 4, 5, 6]
-        assert [len(s.graphs) for s in steps] == R35_CLASS_COUNTS[:6]
-        assert steps[-1].graphs == gen_ramsey_gt(RamseyInstance(3, 5, 6))
+        rows = []
+        out = gen_ramsey_gt(RamseyInstance(3, 5, 6),
+                            stats=Stats(lambda *row: rows.append(row)))
+        assert [r[0] for r in rows] == [1, 2, 3, 4, 5, 6]
+        assert [r[1] for r in rows] == R35_CLASS_COUNTS[:6]
+        assert out == gen_ramsey_gt(RamseyInstance(3, 5, 6))
 
 
 class TestEncoding:
@@ -147,6 +148,19 @@ class TestEncoding:
                       for m in sat.solve_all(f, evm.var.values())]
             assert all(is_ramsey(inst, g) for g in graphs)
             assert dedup_canonical(graphs) == gen_ramsey_gt(inst)
+
+
+class TestConstrainGenerateReduce:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_stats_row_matches_direct_run(self, n):
+        inst = RamseyInstance(3, 4, n)
+        rows = []
+        out = gen_ramsey_cg(inst, stats=Stats(lambda *row: rows.append(row)))
+        [(row_n, classes, seconds, canon_seconds)] = rows
+        assert row_n == n
+        assert classes == len(out)
+        assert 0 <= canon_seconds <= seconds
+        assert out == gen_ramsey_cg(inst)
 
 
 class TestPipelineEquivalence:
