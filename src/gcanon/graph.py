@@ -29,6 +29,15 @@ class VertexCapExceeded(GraphError):
     """Vertex count above the configured cap (default 64)."""
 
 
+def _check_vertex_count(n: int) -> None:
+    """Reject a negative n or one above the cap, before n rows exist."""
+    if n < 0:
+        raise GraphError("negative vertex count")
+    if n > DEFAULT_VERTEX_CAP:
+        raise VertexCapExceeded(
+            f"n={n} exceeds vertex cap {DEFAULT_VERTEX_CAP}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1, one bitmask row per vertex."""
@@ -37,11 +46,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise GraphError("negative vertex count")
-        if self.n > DEFAULT_VERTEX_CAP:
-            raise VertexCapExceeded(
-                f"n={self.n} exceeds vertex cap {DEFAULT_VERTEX_CAP}")
+        _check_vertex_count(self.n)
         if len(self.rows) != self.n:
             raise GraphError("row count does not match vertex count")
         full = (1 << self.n) - 1
@@ -107,10 +112,11 @@ class Graph:
 
     @staticmethod
     def empty(n: int) -> "Graph":
-        return Graph(n, (0,) * n)
+        return Graph.from_edges(n, ())
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        _check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -207,15 +213,19 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
     """Relabel g by p: result.adj[p(u)][p(v)] = g.adj[u][v]."""
     if len(p) != g.n:
         raise GraphError("permutation length does not match vertex count")
-    rows = [0] * g.n
-    for u in range(g.n):
-        pu = p.map[u]
-        row = g.rows[u]
+    return Graph._trusted(g.n, _relabel_rows(g.rows, p.map))
+
+
+def _relabel_rows(rows, pos) -> tuple[int, ...]:
+    """Adjacency rows with vertex u moved to position pos[u]."""
+    out = [0] * len(rows)
+    for u, row in enumerate(rows):
+        pu = pos[u]
         while row:
             v = (row & -row).bit_length() - 1
             row &= row - 1
-            rows[pu] |= 1 << p.map[v]
-    return Graph._trusted(g.n, tuple(rows))
+            out[pu] |= 1 << pos[v]
+    return tuple(out)
 
 
 def extensions(g: Graph) -> Iterator[Graph]:
@@ -280,8 +290,7 @@ def graph_convert(n: int, from_fmt: str, to_fmt: str, value):
     for fmt in (from_fmt, to_fmt):
         if fmt not in FORMATS:
             raise GraphError(f"unknown graph format {fmt!r}")
-    if n > DEFAULT_VERTEX_CAP:  # before a reader allocates n rows
-        raise VertexCapExceeded(f"n={n} exceeds vertex cap")
+    _check_vertex_count(n)
     from . import graph6
 
     if from_fmt == ADJ_MATRIX:

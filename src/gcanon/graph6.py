@@ -34,7 +34,7 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def decode_graph6(atom: str, strict: bool = True) -> Graph:
+def decode_graph6(atom: str) -> Graph:
     if atom.startswith(STREAM_HEADER):
         atom = atom[len(STREAM_HEADER):]
     if not atom:
@@ -55,7 +55,7 @@ def decode_graph6(atom: str, strict: bool = True) -> Graph:
     for ch in body:
         bits = bits << 6 | (ord(ch) - 63)
     pad = -nbits % 6
-    if strict and pad and bits & ((1 << pad) - 1):
+    if pad and bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
     bits >>= pad
     rows = [0] * n
@@ -74,9 +74,9 @@ def write_graph6_lines(graphs: Iterable[Graph]) -> str:
     return "".join(encode_graph6(g) + "\n" for g in graphs)
 
 
-def read_graph6_lines(text: str, strict: bool = True) -> Iterator[Graph]:
+def read_graph6_lines(text: str) -> Iterator[Graph]:
     for line in text.splitlines():
         line = line.strip()
         if not line or line == STREAM_HEADER:
             continue
-        yield decode_graph6(line, strict=strict)
+        yield decode_graph6(line)

@@ -176,8 +176,12 @@ def encode_ramsey(inst: RamseyInstance) -> tuple[EdgeVarMap, sat.CnfFormula]:
 
 def decode_model(evm: EdgeVarMap, model: sat.Model) -> Graph:
     """Graph with edge {u,v} present iff its variable is true."""
-    edges = [p for p, v in evm.var.items() if model[v]]
-    return Graph.from_edges(evm.n, edges)
+    rows = [0] * evm.n
+    for (u, v), var in evm.var.items():
+        if model[var]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph._trusted(evm.n, tuple(rows))
 
 
 def gen_ramsey_cg(inst: RamseyInstance, *,

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from gcanon.canon import (
     isomorphic,
     refine_equitable,
 )
+from gcanon.generate import all_nonisomorphic
 from gcanon.graph import (
     Graph,
     GraphError,
@@ -32,6 +34,58 @@ from .reference_graphs import (
 )
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return apply_permutation(g, Permutation(tuple(perm)))
+
+
+def orbit_oracle_inputs():
+    """Every labelled 5-vertex graph and every 6-vertex class, each in a
+    seeded relabelling."""
+    rng = random.Random(41)
+    return [relabelled(g, rng)
+            for g in [*all_graphs(5), *all_nonisomorphic(6)]]
+
+
+def brute_force_orbits(g, cells=()):
+    """orbits[v] is the least image of v under the automorphisms of g
+    that map each of the given cells onto itself."""
+    autos = [a for a in brute_force_automorphisms(g)
+             if all(a(v) in cell for cell in cells for v in cell)]
+    return tuple(min(a(v) for a in autos) for v in range(g.n))
+
+
+def complete_bipartite(m):
+    return Graph.from_edges(2 * m, [(i, m + j) for i in range(m)
+                                    for j in range(m)])
+
+
+def disjoint_union(g, h):
+    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
+    return Graph.from_edges(g.n + h.n, edges)
+
+
+def symmetric_pin_inputs():
+    """Seeded relabellings of graphs whose search trees are dominated by
+    automorphism pruning."""
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    graphs = [
+        Graph.empty(10),
+        Graph.from_edges(10, itertools.combinations(range(10), 2)),
+        complete_bipartite(5),
+        disjoint_union(complete_bipartite(4), complete_bipartite(4)),
+        petersen,
+        Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)]),
+        Graph.from_edges(16, [(u, u ^ 1 << b) for u in range(16)
+                              for b in range(4) if u < u ^ 1 << b]),
+    ]
+    rng = random.Random(13)
+    return [relabelled(g, rng) for g in graphs for _ in range(3)]
 
 
 def is_equitable(g, partition):
@@ -131,6 +185,31 @@ class TestCanonize:
             for v in range(5):
                 true_orbit_rep = min(a(v) for a in autos)
                 assert r.orbits[v] == true_orbit_rep
+
+    def test_orbits_match_brute_force_n5_all_and_n6_classes(self):
+        for g in orbit_oracle_inputs():
+            assert canonize(g).orbits == brute_force_orbits(g), g
+
+    def test_colored_orbits_match_brute_force(self):
+        rng = random.Random(43)
+        for g in orbit_oracle_inputs():
+            first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+            cells = (tuple(first),
+                     tuple(v for v in range(g.n) if v not in first))
+            r = canonize(g, CanonOptions(initial_coloring=OrderedPartition(
+                cells)))
+            assert r.orbits == brute_force_orbits(g, cells), (g, cells)
+
+    def test_labeling_pin_on_symmetric_graphs(self):
+        # The labeling depends on which leaves orbit pruning visits and in
+        # which order, so this pins the search itself, not only the forms.
+        digest = hashlib.sha256()
+        for g in symmetric_pin_inputs():
+            r = canonize(g)
+            digest.update(repr((r.labeling.map, r.orbits,
+                                r.canonic.rows)).encode())
+        assert digest.hexdigest() == (
+            "db81b23eea2d7c01b8127b682d4fea66ef46ffe48f10fb46b4e5d4928ed329d7")
 
     def test_deterministic(self):
         g = Graph.from_matrix(ISO_PAIR_A)

@@ -81,7 +81,6 @@ def test_rejects_nonzero_padding_strict():
     bad = "A" + chr(63 + 1)  # padding bit set
     with pytest.raises(Graph6Error):
         decode_graph6(bad)
-    assert decode_graph6(bad, strict=False) == Graph.empty(2)
 
 
 def test_stream_header_tolerated_on_input():

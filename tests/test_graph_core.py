@@ -116,6 +116,10 @@ class TestConvert:
     def test_huge_n_rejected_before_allocation(self):
         with pytest.raises(VertexCapExceeded):
             graph_convert(2 ** 70, EDGE_LIST, ADJ_MATRIX, [])
+        with pytest.raises(VertexCapExceeded):
+            Graph.empty(2 ** 70)
+        with pytest.raises(VertexCapExceeded):
+            Graph.from_edges(2 ** 70, [])
 
     def test_unknown_format(self):
         with pytest.raises(GraphError):
