@@ -46,7 +46,12 @@ def _read_graph_texts(stream, fmt: str, n: int):
                 raise GraphError(f"matrix row {row!r} is not 0/1 digits")
         return [[[int(ch) for ch in row] for row in rows[i:i + n]]
                 for i in range(0, len(rows), n)]
-    return [json.loads(ln) for ln in lines if ln]
+    try:
+        return [json.loads(ln) for ln in lines if ln]
+    except RecursionError:
+        raise GraphError("JSON value nested too deeply") from None
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
+        raise GraphError(f"bad JSON: {exc}") from None
 
 
 def _write_graph_value(out, fmt: str, value) -> None:
@@ -187,7 +192,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, sat.SatError, json.JSONDecodeError) as exc:
+    except (GraphError, sat.SatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

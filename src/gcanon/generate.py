@@ -42,14 +42,16 @@ class Stats:
 
 
 def sort_canonical(graphs: Iterable[Graph]) -> list[Graph]:
-    """The reduce step: sort by graph6 encoding and drop exact duplicates.
+    """The reduce step: drop exact duplicates, then sort by graph6 encoding.
 
     graphs is consumed lazily, so a generator of canonical forms is reduced
-    without ever holding all of them at once."""
+    without ever holding all of them at once.  Duplicates are keyed by
+    rows (whose length is n), so only distinct graphs are encoded; the
+    first copy is kept, so that its rows tuple is also the key."""
     seen = {}
     for g in graphs:
-        seen[encode_graph6(g)] = g
-    return [seen[k] for k in sorted(seen)]
+        seen.setdefault(g.rows, g)
+    return sorted(seen.values(), key=encode_graph6)
 
 
 def extend_and_reduce(graphs: Iterable[Graph],

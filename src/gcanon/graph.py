@@ -231,18 +231,28 @@ def _relabel_rows(rows, pos) -> tuple[int, ...]:
 def extensions(g: Graph) -> Iterator[Graph]:
     """All 2^n one-vertex extensions of g, the new vertex appended last.
 
-    Ordered by the new vertex's adjacency bitmask, 0 .. 2^n - 1.
+    Ordered by the new vertex's adjacency bitmask, 0 .. 2^n - 1.  The rows
+    of the first min(n, 8) vertices come from one table, an entry for each
+    subset of them; the rows of the others are built once per block of the
+    2^min(n, 8) masks that share them.
     """
-    if g.n + 1 > DEFAULT_VERTEX_CAP:
+    n = g.n
+    if n + 1 > DEFAULT_VERTEX_CAP:
         raise VertexCapExceeded("extension would exceed vertex cap")
-    n1 = g.n + 1
-    newbit = 1 << g.n
+    n1 = n + 1
+    newbit = 1 << n
+    w = min(n, 8)
+    low = [()]  # low[m]: the rows of vertices 0..w-1 under low mask m
+    for r in g.rows[:w]:
+        low = [lo + (r,) for lo in low] + [lo + (r | newbit,) for lo in low]
+    high = g.rows[w:]
     trusted = Graph._trusted
-    for mask in range(1 << g.n):
-        rows = [g.rows[u] | newbit if mask >> u & 1 else g.rows[u]
-                for u in range(g.n)]
-        rows.append(mask)
-        yield trusted(n1, tuple(rows))
+    for block in range(1 << (n - w)):
+        rest = tuple(r | newbit if block >> j & 1 else r
+                     for j, r in enumerate(high))
+        base = block << w
+        for i, lo in enumerate(low):
+            yield trusted(n1, lo + rest + (base | i,))
 
 
 def k_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:

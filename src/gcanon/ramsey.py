@@ -67,30 +67,42 @@ def is_ramsey(inst: RamseyInstance, g: Graph) -> bool:
     return True
 
 
-def _has_clique(rows, cand: int, k: int) -> bool:
-    """Is there a k-clique inside the candidate bitmask?"""
+def _has_clique(rows, cand: int, k: int, flip: int = 0) -> bool:
+    """Is there a k-clique inside the candidate bitmask, in the graph with
+    adjacency rows[v] ^ flip?  With flip the mask of a vertex set that
+    holds cand, that graph is the complement on that set."""
     if k == 0:
         return True
+    if k == 1:
+        return cand != 0
+    if k == 2:
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if cand & (rows[v] ^ flip):
+                return True
+        return False
     while cand.bit_count() >= k:
         v = (cand & -cand).bit_length() - 1
         cand &= cand - 1
-        if _has_clique(rows, cand & rows[v], k - 1):
+        if _has_clique(rows, cand & (rows[v] ^ flip), k - 1, flip):
             return True
     return False
 
 
 def _extension_keep(s: int, t: int):
     """Ramsey check for a one-vertex extension of an already-Ramsey parent:
-    only subsets through the new (last) vertex can violate the property."""
+    only subsets through the new (last) vertex can violate the property, so
+    the old vertices are searched for an independent (s-1)-set among the
+    new vertex's non-neighbours and a (t-1)-clique among its neighbours."""
 
     def keep(h: Graph) -> bool:
-        v = h.n - 1
-        full = (1 << h.n) - 1
-        nbrs = h.rows[v]
-        comp = [full & ~r & ~(1 << u) for u, r in enumerate(h.rows)]
-        if _has_clique(comp, comp[v], s - 1):
+        rows = h.rows
+        nbrs = rows[-1]
+        old = (1 << (h.n - 1)) - 1
+        if _has_clique(rows, old & ~nbrs, s - 1, old):
             return False
-        if _has_clique(h.rows, nbrs, t - 1):
+        if _has_clique(rows, nbrs, t - 1):
             return False
         return True
 

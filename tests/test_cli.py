@@ -68,8 +68,13 @@ class TestConvert:
         (["canon", "--fmt", "adj-list"], "[[1],[0],5]"),
         (["convert", "--from", "adj-matrix", "--to", "graph6"],
          "01x\n101\n010"),
+        (["convert", "--from", "adj-list", "--to", "edge-list"],
+         "[" * 100000 + "]" * 100000),
+        (["convert", "--from", "adj-list", "--to", "edge-list"], "1" * 5000),
+        (["canon", "--fmt", "edge-list"], "[[0,1],"),
     ], ids=["edge-triple", "edge-dict", "edge-int", "adj-asymmetric",
-            "adj-int", "matrix-char"])
+            "adj-int", "matrix-char", "json-deep", "json-long-int",
+            "json-truncated"])
     def test_malformed_input_is_one_error_line(self, capsys, monkeypatch,
                                                argv, stdin):
         code, out, err = cli(capsys, monkeypatch, argv + ["--n", "3"],

@@ -1,11 +1,18 @@
 """Boundary fuzzing: every parser and the public Graph constructor either
 return a valid value or raise the library's own typed error, never a bare
-TypeError, AttributeError or IndexError."""
+TypeError, AttributeError or IndexError; the CLI on any stdin exits 0, or
+exits 1 with one error line."""
+
+import contextlib
+import io
+import json
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcanon import sat
+from gcanon.cli import FMT_NAMES, run
 from gcanon.graph import FORMATS, Graph, GraphError, graph_convert
 from gcanon.graph6 import Graph6Error, decode_graph6
 
@@ -22,10 +29,16 @@ json_like = st.recursive(
 # header and body length agree, so that a good share of draws decodes
 graph6_text = st.text(alphabet=st.characters(min_codepoint=32,
                                              max_codepoint=130), max_size=12)
-graph6_atoms = st.integers(0, 7).flatmap(lambda n: st.text(
-    alphabet=st.characters(min_codepoint=63, max_codepoint=126),
-    min_size=(n * (n - 1) // 2 + 5) // 6,
-    max_size=(n * (n - 1) // 2 + 5) // 6).map(lambda body: chr(n + 63) + body))
+
+
+def graph6_atom(n):
+    size = (n * (n - 1) // 2 + 5) // 6
+    return st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126),
+                   min_size=size, max_size=size).map(
+        lambda body: chr(n + 63) + body)
+
+
+graph6_atoms = st.integers(0, 7).flatmap(graph6_atom)
 
 dimacs_text = st.lists(
     st.sampled_from(["p", "cnf", "c", "0", "1", "-1", "2", "-2", "3", "x",
@@ -87,3 +100,55 @@ def test_graph_constructor_validates(n_rows):
         return
     assert all(not g.rows[u] >> u & 1 for u in range(g.n))
     assert is_symmetric(g)
+
+
+# stdin for the CLI at --n n: free text, or lines of one kind (JSON values,
+# 0/1 matrix rows, graph6 atoms), most of them sized for n, so that every
+# reader is reached and a good share of draws converts
+def cli_stdin(n):
+    k = max(n, 0)
+    vertex = st.integers(-1, k)
+    kinds = [
+        json_like.map(json.dumps),
+        st.lists(st.lists(vertex, min_size=2, max_size=2)
+                 | st.lists(vertex, max_size=3), max_size=5).map(json.dumps),
+        st.text(alphabet="01", min_size=k, max_size=k),
+        st.text(alphabet="01 x", max_size=5),
+        graph6_atom(k), graph6_atoms]
+    return st.one_of([st.text(max_size=40)] + [
+        st.lists(kind, max_size=2 * k + 1).map("\n".join) for kind in kinds])
+
+
+def cli_case(n):
+    fmt = st.sampled_from(sorted(FMT_NAMES))
+    at_n = ["--n", str(n)]
+    argv = st.one_of(
+        st.tuples(fmt, fmt).map(
+            lambda f: ["convert", "--from", f[0], "--to", f[1]] + at_n),
+        st.tuples(st.sampled_from([[], ["--perm"]]), fmt).map(
+            lambda a: ["canon", *a[0], "--fmt", a[1]] + at_n),
+        st.just(["shortg"]))
+    return st.tuples(argv, cli_stdin(n))
+
+
+def run_cli(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 5).flatmap(cli_case))
+def test_cli_exits_0_or_1_with_one_error_line(case):
+    argv, text = case
+    code, _, err = run_cli(argv, text)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

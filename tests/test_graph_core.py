@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,28 @@ class TestExtensions:
         assert len(set(out)) == len(out)
         for h in out:
             assert h.delete_vertex(g.n) == g
+
+    def test_matches_naive_definition_in_mask_order(self):
+        # n = 0..11 crosses the width of the row table; the first 600
+        # children of a 40-vertex graph cross two blocks of 256 masks
+        rng = random.Random(7)
+
+        def random_graph(n):
+            return Graph.from_edges(n, [p for p in itertools.combinations(
+                range(n), 2) if rng.random() < 0.5])
+
+        cases = [(random_graph(n), 1 << n) for n in range(12)]
+        cases.append((random_graph(40), 600))
+        for g, count in cases:
+            newbit = 1 << g.n
+            out = list(itertools.islice(extensions(g), count))
+            assert len(out) == count
+            for mask, h in enumerate(out):
+                assert h.n == g.n + 1
+                assert h.rows == tuple(
+                    r | newbit if mask >> u & 1 else r
+                    for u, r in enumerate(g.rows)) + (mask,)
+                assert Graph(h.n, h.rows) == h
 
     def test_cap(self):
         with pytest.raises(VertexCapExceeded):

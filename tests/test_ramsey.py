@@ -4,10 +4,11 @@ import pytest
 
 from gcanon.canon import canonical_form
 from gcanon.generate import Stats, dedup_canonical
-from gcanon.graph import Graph, GraphError
+from gcanon.graph import Graph, GraphError, extensions
 from gcanon.ramsey import (
     EdgeVarMap,
     RamseyInstance,
+    _extension_keep,
     decode_model,
     encode_ramsey,
     gen_ramsey_cg,
@@ -58,6 +59,18 @@ class TestIsRamsey:
 
 
 class TestGenerateTestReduce:
+    @pytest.mark.parametrize("s,t", [(1, 3), (2, 3), (3, 2), (3, 3), (3, 4),
+                                     (4, 3), (3, 5)])
+    def test_extension_filter_matches_is_ramsey(self, s, t):
+        # s - 1 and t - 1 of 0, 1 and 2 take the shortcuts of _has_clique,
+        # 3 and 4 its recursion, on the clique and the independent side
+        keep = _extension_keep(s, t)
+        for n in range(1, 8):
+            inst = RamseyInstance(s, t, n)
+            for g in gen_ramsey_gt(RamseyInstance(s, t, n - 1)):
+                for h in extensions(g):
+                    assert keep(h) == is_ramsey(inst, h), (s, t, h)
+
     def test_party_problem_boundary(self):
         assert len(gen_ramsey_gt(RamseyInstance(3, 3, 5))) == 1
         assert gen_ramsey_gt(RamseyInstance(3, 3, 6)) == []
