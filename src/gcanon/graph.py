@@ -47,6 +47,8 @@ class Graph:
 
     def __post_init__(self):
         _check_vertex_count(self.n)
+        if type(self.rows) is not tuple:
+            object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.n:
             raise GraphError("row count does not match vertex count")
         full = (1 << self.n) - 1

@@ -73,8 +73,6 @@ def _has_clique(rows, cand: int, k: int, flip: int = 0) -> bool:
     holds cand, that graph is the complement on that set."""
     if k == 0:
         return True
-    if k == 1:
-        return cand != 0
     if k == 2:
         while cand:
             v = (cand & -cand).bit_length() - 1

@@ -110,3 +110,9 @@ def test_sort_canonical_drops_exact_duplicates(graphs5):
     g = graphs5[100]
     assert sort_canonical([g, g, graphs5[3]]) == \
         sorted([g, graphs5[3]], key=encode_graph6)
+
+
+def test_sort_canonical_accepts_graphs_built_from_list_rows():
+    g = Graph(2, [2, 1])
+    assert g.rows == (2, 1) and g == Graph(2, (2, 1))
+    assert sort_canonical([g, Graph(1, [0]), g]) == [Graph(1, (0,)), g]

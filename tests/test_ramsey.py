@@ -62,8 +62,8 @@ class TestGenerateTestReduce:
     @pytest.mark.parametrize("s,t", [(1, 3), (2, 3), (3, 2), (3, 3), (3, 4),
                                      (4, 3), (3, 5)])
     def test_extension_filter_matches_is_ramsey(self, s, t):
-        # s - 1 and t - 1 of 0, 1 and 2 take the shortcuts of _has_clique,
-        # 3 and 4 its recursion, on the clique and the independent side
+        # s - 1 and t - 1 of 0 and 2 take the shortcuts of _has_clique,
+        # 1, 3 and 4 its loop, on the clique and the independent side
         keep = _extension_keep(s, t)
         for n in range(1, 8):
             inst = RamseyInstance(s, t, n)
