@@ -6,13 +6,28 @@ differs from nauty's internal choice of representative but is a valid
 canonical form: two graphs get the same representative iff they are
 isomorphic (color-respectingly so, when an initial coloring is given).
 
-Automorphisms discovered as certificate collisions between leaves drive orbit
-pruning of the search: each search node keeps the orbits of the generators
-that fix its path and absorbs every generator once.  The reported vertex
-orbits are those of all generators found.  They match brute-force
-automorphism orbits on every labelled 5-vertex graph and every 6-vertex
-class, plain and with a 2-cell coloring (tests/test_canon.py); every merge
-is a true automorphism, so they are sound at any size.
+Automorphisms discovered as certificate collisions with the first leaf drive
+two prunings of the search:
+
+- orbit pruning: each search node keeps the orbits of the generators that
+  fix its path and absorbs every generator once;
+- jump-back, as in nauty: after a leaf yields an automorphism, the search
+  returns at once to the deepest node its path shares with the first path.
+  The automorphism fixes that shared prefix and maps the rest of the
+  abandoned subtree onto the first-path subtree already explored, so every
+  skipped leaf repeats a certificate already seen.  Empty, complete and
+  complete bipartite graphs then take at most n(n+1)/2 nodes instead of
+  growing roughly as n^5.5.
+
+The reported vertex orbits are those of all generators found.  group_size,
+|Aut|, is the product over the first-path nodes of the size of the orbit of
+the first-path child under the automorphisms that fix the path so far,
+counted as the node's children are tried or pruned; jump-back never cuts a
+first-path node short, so every count is complete.  Both match brute force
+on every labelled 5-vertex graph and every 6-vertex class, plain and with a
+2-cell coloring (tests/test_canon.py); every merge is a true automorphism,
+so the orbits are sound at any size.
+CanonOptions.max_nodes bounds the tree, raising SearchBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -32,7 +47,12 @@ from .graph import (
 
 @dataclass(frozen=True)
 class CanonOptions:
+    """initial_coloring restricts the search to color-preserving
+    relabelings.  max_nodes, when set, bounds the number of search-tree
+    nodes (leaves included); past it canonize raises SearchBudgetExceeded."""
+
     initial_coloring: Optional[OrderedPartition] = None
+    max_nodes: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -43,7 +63,8 @@ class CanonicalResult:
     permutation(labeling[i]) = i, and applying permutation to the input graph
     yields canonic exactly.  orbits[v] is the least vertex found in v's
     automorphism orbit.  partition is the equitable refinement of the root
-    coloring (implementation-defined cell order).
+    coloring (implementation-defined cell order).  group_size is the order
+    of the (color-preserving) automorphism group.
     """
 
     labeling: Permutation
@@ -51,6 +72,7 @@ class CanonicalResult:
     orbits: tuple[int, ...]
     canonic: Graph
     partition: OrderedPartition
+    group_size: int
 
 
 def _refine(rows, cells, seeds):
@@ -127,19 +149,25 @@ def _absorb(orbits, gen):
             orbits[:] = [lo if x == hi else x for x in orbits]
 
 
+class SearchBudgetExceeded(GraphError):
+    """The search tree grew past CanonOptions.max_nodes."""
+
+
 class _CanonSearch:
-    def __init__(self, rows, n):
+    def __init__(self, rows, n, max_nodes=None):
         self.rows = rows
         self.n = n
+        self.max_nodes = max_nodes
+        self.nodes = 0  # counted only under max_nodes
         self.generators = []
+        self.group_size = 1
         self.first_cert = None
         self.first_labeling = None
+        self.first_path = None
         self.best_cert = None
-        self.best_labeling = None
-
-    def run(self, root_cells):
-        self._descend(root_cells, [])
-        return self.best_labeling, self.generators
+        self.best_labeling = []
+        # Depth to return to after a leaf gave an automorphism, else None.
+        self.jump = None
 
     def _target_cell_index(self, cells):
         best = -1
@@ -150,16 +178,29 @@ class _CanonSearch:
         return best
 
     def _descend(self, cells, path):
+        if self.max_nodes is not None:
+            self.nodes += 1
+            if self.nodes > self.max_nodes:
+                raise SearchBudgetExceeded(
+                    f"canonization search passed max_nodes={self.max_nodes}")
         ti = self._target_cell_index(cells)
         if ti < 0:
-            self._leaf([c[0] for c in cells])
+            self._leaf([c[0] for c in cells], path)
             return
+        # The nodes entered before the first leaf make up the first path.
+        first = self.first_cert is None
         target = cells[ti]
         # Orbits of the generators that fix path pointwise, made when the
         # first one is found; each generator is absorbed once.
         orbits = None
         seen = 0
         processed = []
+        # Children known to share the orbit of target[0] under the
+        # automorphisms that fix path: itself, each child whose subtree
+        # gave an automorphism (it maps target[0] to that child) and each
+        # child pruned into its orbit.  On a first-path node this is the
+        # whole orbit, since jump-back never cuts such a node short.
+        orbit_size = 1
         for v in target:
             if processed:
                 for gen in self.generators[seen:]:
@@ -170,6 +211,7 @@ class _CanonSearch:
                 seen = len(self.generators)
                 if orbits is not None and any(orbits[u] == orbits[v]
                                               for u in processed):
+                    orbit_size += orbits[v] == orbits[target[0]]
                     continue
             processed.append(v)
             rest = tuple(w for w in target if w != v)
@@ -178,12 +220,20 @@ class _CanonSearch:
             path.append(v)
             self._descend(child, path)
             path.pop()
+            if self.jump is not None:
+                if len(path) > self.jump:
+                    return
+                self.jump = None
+                orbit_size += 1
+        if first:
+            self.group_size *= orbit_size
 
-    def _leaf(self, labeling):
+    def _leaf(self, labeling, path):
         cert = _leaf_certificate(self.rows, labeling)
         if self.first_cert is None:
             self.first_cert = cert
             self.first_labeling = labeling
+            self.first_path = path[:]
         elif cert == self.first_cert:
             # Two labelings with the same certificate witness an automorphism.
             gen = [0] * self.n
@@ -191,24 +241,32 @@ class _CanonSearch:
                 gen[a] = b
             if any(gen[i] != i for i in range(self.n)):
                 self.generators.append(tuple(gen))
+                # gen maps the first path onto path, so it fixes their
+                # common prefix and carries the rest of this subtree onto
+                # the explored first-path subtree: go back to that prefix.
+                j = 0
+                while path[j] == self.first_path[j]:
+                    j += 1
+                self.jump = j
         if self.best_cert is None or cert < self.best_cert:
             self.best_cert = cert
             self.best_labeling = labeling
 
 
-def _canonize_rows(rows, n, coloring_cells=None):
-    """Core search; returns (labeling, canonic_rows, generators, root_cells)."""
+def _canonize_rows(rows, n, coloring_cells=None, max_nodes=None):
+    """Core search; returns (search, canonic_rows, root_cells), the search
+    holding best_labeling, generators and group_size."""
+    search = _CanonSearch(rows, n, max_nodes)
     if n == 0:
-        return [], (), [], []
+        return search, (), []
     if coloring_cells is None:
         coloring_cells = [range(n)]
     root = _refine_cells(rows, coloring_cells)
-    search = _CanonSearch(rows, n)
-    labeling, gens = search.run(root)
+    search._descend(root, [])
     pos = [0] * n
-    for i, v in enumerate(labeling):
+    for i, v in enumerate(search.best_labeling):
         pos[v] = i
-    return labeling, _relabel_rows(rows, pos), gens, root
+    return search, _relabel_rows(rows, pos), root
 
 
 def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
@@ -222,23 +280,24 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
     if coloring is not None and coloring.n != g.n:
         raise GraphError("coloring does not cover the graph's vertices")
     cells = coloring.cells if coloring is not None else None
-    labeling, crows, gens, root = _canonize_rows(g.rows, g.n, cells)
+    search, crows, root = _canonize_rows(g.rows, g.n, cells, opts.max_nodes)
     orbits = list(range(g.n))
-    for gen in gens:
+    for gen in search.generators:
         _absorb(orbits, gen)
-    lab = Permutation(tuple(labeling))
+    lab = Permutation(tuple(search.best_labeling))
     return CanonicalResult(
         labeling=lab,
         permutation=lab.inverse(),
         orbits=tuple(orbits),
         canonic=Graph._trusted(g.n, crows),
         partition=OrderedPartition(tuple(root)),
+        group_size=search.group_size,
     )
 
 
 def canonical_form(g: Graph) -> Graph:
     """Canonical representative of g's isomorphism class."""
-    _, crows, _, _ = _canonize_rows(g.rows, g.n)
+    _, crows, _ = _canonize_rows(g.rows, g.n)
     return Graph._trusted(g.n, crows)
 
 

@@ -31,13 +31,16 @@ FMT_NAMES = {
 
 def _read_graph_texts(stream, fmt: str, n: int):
     """Parse stdin into per-graph values.  graph6: one atom per line;
-    adj-matrix: n rows of 0/1 characters per graph (blank lines separate);
+    adj-matrix: n rows of 0/1 characters per graph (blank lines separate),
+    and for n = 0 each blank line is one 0-vertex graph, as it is written;
     adj-list / edge-list: one JSON value per line."""
     lines = [ln.strip() for ln in stream]
     if fmt == GRAPH6_ATOM:
         return [ln for ln in lines if ln]
     if fmt == ADJ_MATRIX:
         rows = [ln.replace(" ", "") for ln in lines if ln]
+        if n == 0 and not rows:
+            return [[] for _ in lines]
         if n < 1 or len(rows) % n != 0:
             raise GraphError(f"{len(rows)} matrix rows do not split into "
                              f"graphs of n={n} rows")

@@ -3,7 +3,16 @@
 TWELVE_CYCLE_ATOMS are twelve graph6 encodings of (isomorphic) 5-cycles,
 paired with their adjacency matrices; each pairing was verified by hand
 against the graph6 bit layout.
+
+large_graphs() builds graphs on up to 62 vertices, most of them highly
+symmetric, each with the order of its automorphism group where a closed
+form is known.
 """
+
+import random
+from math import factorial
+
+from gcanon.graph import Graph
 
 CYCLE5_ATOM = "DqK"
 CYCLE5_MATRIX = [
@@ -83,3 +92,77 @@ NONISO_PAIR_B = [
 # Known non-isomorphic Ramsey coloring counts: no independent 3-set, no
 # 5-clique, for n = 1..14.
 R35_CLASS_COUNTS = [1, 2, 3, 7, 13, 32, 71, 179, 290, 313, 105, 12, 1, 0]
+
+
+def complete(n):
+    return Graph.from_edges(n, [(u, v) for u in range(n)
+                                for v in range(u + 1, n)])
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_bipartite(m):
+    return Graph.from_edges(2 * m, [(u, m + v) for u in range(m)
+                                    for v in range(m)])
+
+
+def petersen():
+    return Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                            + [(i, 5 + i) for i in range(5)])
+
+
+def hypercube(d):
+    n = 1 << d
+    return Graph.from_edges(n, [(u, u ^ 1 << b) for u in range(n)
+                                for b in range(d) if u < u ^ 1 << b])
+
+
+def paley(q):
+    """Paley graph on Z_q, q prime and 1 mod 4: u ~ v iff v - u is a
+    nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(u, v) for u in range(q)
+                                for v in range(u + 1, q)
+                                if (v - u) % q in squares])
+
+
+def disjoint_copies(k, g):
+    return Graph.from_edges(k * g.n, [(i * g.n + u, i * g.n + v)
+                                      for i in range(k)
+                                      for u, v in g.edges()])
+
+
+def gnp(n, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(u, v) for u in range(n)
+                                for v in range(u + 1, n)
+                                if rng.random() < 0.5])
+
+
+def large_graphs():
+    """(name, graph, |Aut| or None) on 8 to 62 vertices.  The group orders
+    are closed forms: n! for empty and complete graphs, 2(m!)^2 for K_{m,m},
+    |Aut(H)|^k k! for k disjoint copies of a connected H, 2n for C_n, 120
+    for Petersen, 2^d d! for Q_d, q(q-1)/2 for Paley(q) with q prime."""
+    kmm = 2 * factorial(5) ** 2
+    graphs = [
+        ("empty62", Graph.empty(62), factorial(62)),
+        ("K62", complete(62), factorial(62)),
+        ("K31,31", complete_bipartite(31), 2 * factorial(31) ** 2),
+        ("6xK5,5", disjoint_copies(6, complete_bipartite(5)),
+         kmm ** 6 * factorial(6)),
+        ("3xPetersen", disjoint_copies(3, petersen()),
+         120 ** 3 * factorial(3)),
+        ("Petersen", petersen(), 120),
+        ("C20", cycle(20), 40),
+        ("C62", cycle(62), 124),
+        ("Paley29", paley(29), 29 * 14),
+        ("Paley61", paley(61), 61 * 30),
+    ]
+    graphs += [(f"Q{d}", hypercube(d), 2 ** d * factorial(d))
+               for d in (3, 4, 5)]
+    graphs += [(f"G({n},1/2)", gnp(n, 2000 + n), None) for n in (20, 41, 62)]
+    return graphs

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
 from gcanon.canon import (
     CanonOptions,
+    SearchBudgetExceeded,
     canonical_form,
     canonize,
     isomorphic,
@@ -31,7 +33,9 @@ from .reference_graphs import (
     ISO_WITNESS_1BASED,
     NONISO_PAIR_A,
     NONISO_PAIR_B,
+    large_graphs,
 )
+from . import reference_graphs as ref
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
@@ -56,6 +60,19 @@ def brute_force_orbits(g, cells=()):
     autos = [a for a in brute_force_automorphisms(g)
              if all(a(v) in cell for cell in cells for v in cell)]
     return tuple(min(a(v) for a in autos) for v in range(g.n))
+
+
+def brute_force_group_size(g, cells=()):
+    """Number of automorphisms of g that map each given cell onto itself."""
+    return sum(all(a(v) in cell for cell in cells for v in cell)
+               for a in brute_force_automorphisms(g))
+
+
+def orbit_sets(orbits):
+    classes = {}
+    for v, r in enumerate(orbits):
+        classes.setdefault(r, set()).add(v)
+    return {frozenset(c) for c in classes.values()}
 
 
 def complete_bipartite(m):
@@ -330,3 +347,79 @@ class TestColoredCanonization:
         with pytest.raises(GraphError):
             canonize(Graph.empty(4),
                      CanonOptions(initial_coloring=OrderedPartition(((0, 1),))))
+
+
+class TestGroupSize:
+    def test_matches_brute_force_n5_all_and_n6_classes(self):
+        for g in orbit_oracle_inputs():
+            assert canonize(g).group_size == brute_force_group_size(g), g
+
+    def test_colored_matches_brute_force(self):
+        rng = random.Random(47)
+        for g in orbit_oracle_inputs():
+            first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+            cells = (tuple(first),
+                     tuple(v for v in range(g.n) if v not in first))
+            r = canonize(g, CanonOptions(initial_coloring=OrderedPartition(
+                cells)))
+            assert r.group_size == brute_force_group_size(g, cells), \
+                (g, cells)
+
+    def test_trivial_sizes(self):
+        assert canonize(Graph.empty(0)).group_size == 1
+        assert canonize(Graph.empty(1)).group_size == 1
+
+    @pytest.mark.parametrize("g,order", [
+        pytest.param(g, order, id=name)
+        for name, g, order in large_graphs() if order is not None])
+    def test_closed_forms(self, g, order):
+        assert canonize(g).group_size == order
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_labelled_count_identity(self, n):
+        # Each class of order |Aut| has n!/|Aut| labelled members, and
+        # together the classes hold every labelled graph on n vertices.
+        total = 0
+        for g in all_nonisomorphic(n):
+            order = canonize(g).group_size
+            assert math.factorial(n) % order == 0
+            total += math.factorial(n) // order
+        assert total == 2 ** (n * (n - 1) // 2)
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("g", [
+        Graph.empty(62), ref.complete(62), ref.complete_bipartite(31),
+        ref.disjoint_copies(6, ref.complete_bipartite(5)),
+    ], ids=["empty62", "K62", "K31,31", "6xK5,5"])
+    def test_symmetric_graphs_stay_polynomial(self, g):
+        # Without the return to the first path after each automorphism
+        # these trees grow far past n(n+1)/2 nodes.
+        budget = g.n * (g.n + 1) // 2
+        canonize(g, CanonOptions(max_nodes=budget))
+
+    def test_exceeded_budget_raises_typed_error(self):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            canonize(ref.petersen(), CanonOptions(max_nodes=1))
+        assert isinstance(info.value, GraphError)
+
+    def test_budget_does_not_change_the_result(self):
+        g = ref.petersen()
+        assert canonize(g, CanonOptions(max_nodes=1000)) == canonize(g)
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name)
+                               for name, g, _ in large_graphs()])
+def test_relabeling_invariance_large(g):
+    base = canonize(g)
+    base_orbits = orbit_sets(base.orbits)
+    rng = random.Random(g.n)
+    for _ in range(3):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        p = Permutation(tuple(perm))
+        r = canonize(apply_permutation(g, p))
+        assert r.canonic == base.canonic
+        assert r.group_size == base.group_size
+        assert orbit_sets(r.orbits) == {frozenset(p(v) for v in orbit)
+                                        for orbit in base_orbits}

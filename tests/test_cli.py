@@ -84,8 +84,26 @@ class TestConvert:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
+    def test_zero_vertex_graph_round_trips_through_adj_matrix(
+            self, capsys, monkeypatch):
+        code, matrix, _ = cli(capsys, monkeypatch,
+                              ["convert", "--n", "0", "--from", "graph6",
+                               "--to", "adj-matrix"], stdin="?\n")
+        assert code == 0
+        assert matrix == "\n"
+        code, out, _ = cli(capsys, monkeypatch,
+                           ["convert", "--n", "0", "--from", "adj-matrix",
+                            "--to", "graph6"], stdin=matrix)
+        assert (code, out) == (0, "?\n")
+
 
 class TestCanon:
+    def test_empty_adj_matrix_stdin_with_zero_vertices(self, capsys,
+                                                       monkeypatch):
+        code, out, err = cli(capsys, monkeypatch,
+                             ["canon", "--n", "0", "--fmt", "adj-matrix"])
+        assert (code, out, err) == (0, "", "")
+
     def test_all_five_cycles_map_to_one_atom(self, capsys, monkeypatch):
         stdin = "\n".join(TWELVE_CYCLE_ATOMS) + "\n"
         code, out, _ = cli(capsys, monkeypatch,
