@@ -4,7 +4,6 @@ all-solutions SAT solver, and Ramsey coloring search pipelines."""
 from .canon import (
     CanonicalResult,
     CanonOptions,
-    SearchBudgetExceeded,
     canonical_form,
     canonize,
     isomorphic,
@@ -39,7 +38,6 @@ __all__ = [
     "ADJ_LIST", "ADJ_MATRIX", "EDGE_LIST", "GRAPH6_ATOM",
     "CanonOptions", "CanonicalResult", "EdgeVarMap", "Graph", "GraphError",
     "OrderedPartition", "Permutation", "RamseyInstance",
-    "SearchBudgetExceeded",
     "all_nonisomorphic", "apply_permutation", "canonical_form", "canonize",
     "decode_graph6", "dedup_canonical", "encode_graph6", "encode_ramsey",
     "extend_and_reduce", "extensions", "gen_ramsey_cg", "gen_ramsey_gt",

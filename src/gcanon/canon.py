@@ -27,7 +27,6 @@ first-path node short, so every count is complete.  Both match brute force
 on every labelled 5-vertex graph and every 6-vertex class, plain and with a
 2-cell coloring (tests/test_canon.py); every merge is a true automorphism,
 so the orbits are sound at any size.
-CanonOptions.max_nodes bounds the tree, raising SearchBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -47,12 +46,7 @@ from .graph import (
 
 @dataclass(frozen=True)
 class CanonOptions:
-    """initial_coloring restricts the search to color-preserving
-    relabelings.  max_nodes, when set, bounds the number of search-tree
-    nodes (leaves included); past it canonize raises SearchBudgetExceeded."""
-
     initial_coloring: Optional[OrderedPartition] = None
-    max_nodes: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -149,16 +143,10 @@ def _absorb(orbits, gen):
             orbits[:] = [lo if x == hi else x for x in orbits]
 
 
-class SearchBudgetExceeded(GraphError):
-    """The search tree grew past CanonOptions.max_nodes."""
-
-
 class _CanonSearch:
-    def __init__(self, rows, n, max_nodes=None):
+    def __init__(self, rows, n):
         self.rows = rows
         self.n = n
-        self.max_nodes = max_nodes
-        self.nodes = 0  # counted only under max_nodes
         self.generators = []
         self.group_size = 1
         self.first_cert = None
@@ -178,11 +166,6 @@ class _CanonSearch:
         return best
 
     def _descend(self, cells, path):
-        if self.max_nodes is not None:
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                raise SearchBudgetExceeded(
-                    f"canonization search passed max_nodes={self.max_nodes}")
         ti = self._target_cell_index(cells)
         if ti < 0:
             self._leaf([c[0] for c in cells], path)
@@ -253,10 +236,10 @@ class _CanonSearch:
             self.best_labeling = labeling
 
 
-def _canonize_rows(rows, n, coloring_cells=None, max_nodes=None):
+def _canonize_rows(rows, n, coloring_cells=None):
     """Core search; returns (search, canonic_rows, root_cells), the search
     holding best_labeling, generators and group_size."""
-    search = _CanonSearch(rows, n, max_nodes)
+    search = _CanonSearch(rows, n)
     if n == 0:
         return search, (), []
     if coloring_cells is None:
@@ -280,7 +263,7 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
     if coloring is not None and coloring.n != g.n:
         raise GraphError("coloring does not cover the graph's vertices")
     cells = coloring.cells if coloring is not None else None
-    search, crows, root = _canonize_rows(g.rows, g.n, cells, opts.max_nodes)
+    search, crows, root = _canonize_rows(g.rows, g.n, cells)
     orbits = list(range(g.n))
     for gen in search.generators:
         _absorb(orbits, gen)

@@ -7,7 +7,7 @@ import pytest
 
 from gcanon.canon import (
     CanonOptions,
-    SearchBudgetExceeded,
+    _CanonSearch,
     canonical_form,
     canonize,
     isomorphic,
@@ -35,7 +35,6 @@ from .reference_graphs import (
     NONISO_PAIR_B,
     large_graphs,
 )
-from . import reference_graphs as ref
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
@@ -387,25 +386,27 @@ class TestGroupSize:
         assert total == 2 ** (n * (n - 1) // 2)
 
 
-class TestSearchBudget:
-    @pytest.mark.parametrize("g", [
-        Graph.empty(62), ref.complete(62), ref.complete_bipartite(31),
-        ref.disjoint_copies(6, ref.complete_bipartite(5)),
-    ], ids=["empty62", "K62", "K31,31", "6xK5,5"])
-    def test_symmetric_graphs_stay_polynomial(self, g):
-        # Without the return to the first path after each automorphism
-        # these trees grow far past n(n+1)/2 nodes.
-        budget = g.n * (g.n + 1) // 2
-        canonize(g, CanonOptions(max_nodes=budget))
+POLYNOMIAL_SEARCH_GRAPHS = ("empty62", "K62", "K31,31", "6xK5,5")
 
-    def test_exceeded_budget_raises_typed_error(self):
-        with pytest.raises(SearchBudgetExceeded) as info:
-            canonize(ref.petersen(), CanonOptions(max_nodes=1))
-        assert isinstance(info.value, GraphError)
 
-    def test_budget_does_not_change_the_result(self):
-        g = ref.petersen()
-        assert canonize(g, CanonOptions(max_nodes=1000)) == canonize(g)
+@pytest.mark.parametrize("g", [
+    pytest.param(g, id=name) for name, g, _ in large_graphs()
+    if name in POLYNOMIAL_SEARCH_GRAPHS])
+def test_symmetric_graphs_take_polynomial_search_nodes(g, monkeypatch):
+    # Without the return to the first path after each automorphism these
+    # trees grow far past n(n+1)/2 nodes; the count stops the search there.
+    budget = g.n * (g.n + 1) // 2
+    nodes = 0
+    descend = _CanonSearch._descend
+
+    def counting_descend(self, cells, path):
+        nonlocal nodes
+        nodes += 1
+        assert nodes <= budget, f"search passed {budget} nodes"
+        return descend(self, cells, path)
+
+    monkeypatch.setattr(_CanonSearch, "_descend", counting_descend)
+    canonize(g)
 
 
 @pytest.mark.parametrize("g", [pytest.param(g, id=name)
