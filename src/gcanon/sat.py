@@ -1,16 +1,17 @@
 """Minimal complete SAT solver with all-solutions enumeration and DIMACS I/O.
 
-The solver is plain DPLL with two-watched-literal unit propagation,
-branching on the lowest-numbered unassigned variable and trying false before
-true, so the model order is stable.  solve_all enumerates satisfying
-assignments modulo a projection in one search: each model's projection is
-blocked by a clause and the search backtracks from there rather than
-restarting.  solve is the same search stopped at its first model.
+The solver is plain DPLL with two-watched-literal unit propagation and
+chronological backtracking, trying false before true, so the model order is
+stable.  solve_all enumerates the models modulo a projection in one search
+and adds no clause to do it, after Toda & Soh ("Implementing efficient all
+solutions SAT solvers", ACM JEA 2016): it branches on the projection
+variables first, finds one completion of the rest, then backtracks over the
+projection decisions only.  solve is the same search stopped at its first
+model.  A model holds one 0/1 byte per variable.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -56,30 +57,36 @@ class CnfFormula:
 
 @dataclass(frozen=True)
 class Model:
-    """A satisfying assignment over every variable: m[v] is values[v-1]."""
+    """A satisfying assignment over every variable: m[v] is values[v-1],
+    held as one 0/1 byte per variable."""
 
-    values: list[bool]
+    values: bytes
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", bytes(self.values))
 
     def __getitem__(self, var: int) -> bool:
         if var < 1:
             raise KeyError(var)
         try:
-            return self.values[var - 1]
+            return self.values[var - 1] != 0
         except IndexError:
             raise KeyError(var) from None
 
 
 class DpllSolver:
     """DPLL over a fixed clause set.  enumerate_projected runs the one
-    search of an instance, adding its blocking clauses as it goes."""
+    search of an instance.
+
+    The value of a literal is lv[lit]: None while its variable is
+    unassigned, and lv[v] and lv[-v] (a negative list index) are kept
+    opposite, so each watch check is a single list index.  The watch lists
+    are indexed by literal the same way."""
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
-        # one extra slot: a sentinel variable pinned false, used to pad
-        # unit blocking clauses up to the two-watch minimum
-        self.val: list[Optional[bool]] = [None] * (num_vars + 1) + [False]
-        self.pos: list[int] = [0] * (num_vars + 2)
-        self.watches: dict[int, list] = {}
+        self.lv: list[Optional[bool]] = [None] * (2 * num_vars + 1)
+        self.watches: list[list] = [[] for _ in range(2 * num_vars + 1)]
         self.units: list[int] = []
         self.trail: list[int] = []
 
@@ -89,141 +96,120 @@ class DpllSolver:
             self.units.append(lits[0])
             return
         clause = list(lits)
-        self.watches.setdefault(clause[0], []).append(clause)
-        self.watches.setdefault(clause[1], []).append(clause)
-
-    def _value(self, lit: int) -> Optional[bool]:
-        v = self.val[abs(lit)]
-        if v is None:
-            return None
-        return v == (lit > 0)
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     def _assign(self, lit: int) -> None:
-        self.val[abs(lit)] = lit > 0
-        self.pos[abs(lit)] = len(self.trail)
+        self.lv[lit] = True
+        self.lv[-lit] = False
         self.trail.append(lit)
 
     def _propagate(self, qhead: int) -> bool:
         """Exhaust unit propagation from trail position qhead; False on
         conflict."""
-        trail = self.trail
+        lv, trail, watches = self.lv, self.trail, self.watches
         while qhead < len(trail):
-            lit = trail[qhead]
+            false_lit = -trail[qhead]
             qhead += 1
-            wl = self.watches.get(-lit)
-            if wl is None:
-                continue
+            wl = watches[false_lit]
             i = 0
             while i < len(wl):
                 c = wl[i]
-                if c[0] == -lit:
-                    c[0], c[1] = c[1], c[0]
-                first = self._value(c[0])
-                if first is True:
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                first = lv[c[0]]
+                if first:
                     i += 1
                     continue
                 for j in range(2, len(c)):
-                    if self._value(c[j]) is not False:
-                        c[1], c[j] = c[j], c[1]
-                        self.watches.setdefault(c[1], []).append(c)
+                    if lv[c[j]] is not False:
+                        c[1], c[j] = c[j], false_lit
+                        watches[c[1]].append(c)
                         wl[i] = wl[-1]
                         wl.pop()
                         break
                 else:
                     if first is False:
                         return False
-                    self._assign(c[0])
+                    lit = c[0]
+                    lv[lit] = True
+                    lv[-lit] = False
+                    trail.append(lit)
                     i += 1
         return True
 
     def _assert_units(self) -> bool:
         """Assign and propagate the unit clauses; False on conflict."""
         for u in self.units:
-            v = self._value(u)
+            v = self.lv[u]
             if v is False:
                 return False
             if v is None:
                 self._assign(u)
         return self._propagate(0)
 
-    def _undo_to(self, mark: int) -> int:
-        """Unassign everything past the trail mark; returns the smallest
-        variable undone (for the branching pointer)."""
-        low = self.num_vars + 2
+    def _undo_to(self, mark: int) -> None:
+        """Unassign everything past the trail mark."""
+        lv = self.lv
         for lit in self.trail[mark:]:
-            v = abs(lit)
-            self.val[v] = None
-            if v < low:
-                low = v
+            lv[lit] = lv[-lit] = None
         del self.trail[mark:]
-        return low
 
-    def _resolve(self, decisions: list, ptr: int) -> Optional[int]:
-        """Chronological conflict handling: flip the deepest unflipped
-        decision (false was tried first).  Returns the updated branching
-        pointer, or None when the search space is exhausted."""
-        while True:
-            while decisions and decisions[-1][2]:
-                mark, _, _ = decisions.pop()
-                ptr = min(ptr, self._undo_to(mark))
-            if not decisions:
-                return None
-            mark, var, _ = decisions[-1]
-            ptr = min(ptr, self._undo_to(mark))
-            decisions[-1][2] = True
-            self._assign(var)
-            if self._propagate(len(self.trail) - 1):
-                return ptr
+    def _resolve(self, decisions: list) -> Optional[int]:
+        """Chronological backtracking: flip the deepest decision still on
+        its false branch, the one whose literal at its trail mark is
+        negative.  Returns that decision's place in the branching order,
+        or None when the search space is exhausted."""
+        while decisions:
+            mark, k = decisions.pop()
+            lit = -self.trail[mark]
+            self._undo_to(mark)
+            if lit > 0:
+                decisions.append((mark, k))
+                self._assign(lit)
+                if self._propagate(mark):
+                    return k
+        return None
 
-    def enumerate_projected(self, projection: Sequence[int]
-                            ) -> list[list[bool]]:
-        """All models pairwise distinct on the projection variables.
+    def enumerate_projected(self, projection: Sequence[int]) -> list[bytes]:
+        """All models pairwise distinct on the projection variables, each
+        as one 0/1 byte per variable.
 
-        Each model's projection is blocked with a clause and the search
-        resumes from the deepest decision level that assigned a projection
-        variable, so no projection assignment is ever reported twice.
-        Models arrive in the same lexicographic (false-first, lowest
-        variable most significant) order a restart-per-model loop would
-        produce.  With an empty projection only the first model is
-        returned."""
-        models: list[list[bool]] = []
+        The search branches on the projection variables in ascending
+        order, then on the other variables in ascending order, false before
+        true.  At each full model it records the model and drops the
+        decisions on non-projection variables, so backtracking resumes at
+        the deepest projection decision: each satisfiable projection
+        assignment is reported once, with its first completion.  The
+        projection assignments thus arrive in lexicographic order, lowest
+        projection variable most significant; for a projection 1..k that
+        is the false-first lexicographic order of the whole models.  With
+        an empty projection only the first model is returned."""
+        models: list[bytes] = []
         if not self._assert_units():
             return models
-        nv = self.num_vars
+        nv, lv = self.num_vars, self.lv
         proj = sorted(set(projection))
-        sentinel_false = nv + 1  # positive literal on the pinned-false var
-        decisions: list[list] = []
-        ptr = 1
+        chosen = set(proj)
+        order = proj + [v for v in range(1, nv + 1) if v not in chosen]
+        decisions: list[tuple[int, int]] = []  # (trail mark, place in order)
+        k = 0
         while True:
-            while ptr <= nv and self.val[ptr] is not None:
-                ptr += 1
-            if ptr <= nv:
-                decisions.append([len(self.trail), ptr, False])
-                self._assign(-ptr)
-                if self._propagate(len(self.trail) - 1):
-                    continue
+            if len(self.trail) == nv:  # each variable is on it once
+                models.append(bytes(lv[1:nv + 1]))
+                while decisions and decisions[-1][1] >= len(proj):
+                    self._undo_to(decisions.pop()[0])
             else:
-                models.append(list(self.val[1:nv + 1]))
-                if not proj or not decisions:
-                    return models
-                blocking = [-v if self.val[v] else v for v in proj]
-                deepest = max(blocking, key=lambda l: self.pos[abs(l)])
-                marks = [d[0] for d in decisions]
-                level = bisect.bisect_right(marks, self.pos[abs(deepest)])
-                if level == 0:
-                    return models  # projection forced at the root
-                while len(decisions) > level:
-                    mark, _, _ = decisions.pop()
-                    ptr = min(ptr, self._undo_to(mark))
-                clause = [deepest] + [l for l in blocking if l != deepest]
-                if len(clause) == 1:
-                    clause.append(sentinel_false)
-                self.watches.setdefault(clause[0], []).append(clause)
-                self.watches.setdefault(clause[1], []).append(clause)
-            nxt = self._resolve(decisions, ptr)
-            if nxt is None:
+                while lv[order[k]] is not None:
+                    k += 1
+                mark = len(self.trail)
+                decisions.append((mark, k))
+                self._assign(-order[k])
+                if self._propagate(mark):
+                    continue
+            k = self._resolve(decisions)
+            if k is None:
                 return models
-            ptr = nxt
 
 
 def solve(f: CnfFormula) -> Optional[Model]:
@@ -235,9 +221,13 @@ def solve(f: CnfFormula) -> Optional[Model]:
 def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[Model]:
     """All models distinct on the projection variables, in solver order.
 
-    After each model the clause negating its projection is added before the
-    search resumes, so exactly one model per satisfiable projection
-    assignment is returned; an empty projection gives the first model only.
+    Exactly one model per satisfiable projection assignment is returned:
+    its first completion, false before true.  The search decides the
+    projection variables before the others, so the projection assignments
+    come in lexicographic order, lowest projection variable most
+    significant; for a projection 1..k, such as the edge variables of a
+    Ramsey encoding, that is the lexicographic order of the whole models.
+    An empty projection gives the first model only.
     """
     proj = sorted(set(projection))
     for v in proj:

@@ -33,7 +33,13 @@ from .reference_graphs import (
     ISO_WITNESS_1BASED,
     NONISO_PAIR_A,
     NONISO_PAIR_B,
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_copies,
+    hypercube,
     large_graphs,
+    petersen,
 )
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -74,31 +80,17 @@ def orbit_sets(orbits):
     return {frozenset(c) for c in classes.values()}
 
 
-def complete_bipartite(m):
-    return Graph.from_edges(2 * m, [(i, m + j) for i in range(m)
-                                    for j in range(m)])
-
-
-def disjoint_union(g, h):
-    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return Graph.from_edges(g.n + h.n, edges)
-
-
 def symmetric_pin_inputs():
     """Seeded relabellings of graphs whose search trees are dominated by
     automorphism pruning."""
-    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
-                                + [(i, i + 5) for i in range(5)]
-                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
     graphs = [
         Graph.empty(10),
-        Graph.from_edges(10, itertools.combinations(range(10), 2)),
+        complete(10),
         complete_bipartite(5),
-        disjoint_union(complete_bipartite(4), complete_bipartite(4)),
-        petersen,
-        Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)]),
-        Graph.from_edges(16, [(u, u ^ 1 << b) for u in range(16)
-                              for b in range(4) if u < u ^ 1 << b]),
+        disjoint_copies(2, complete_bipartite(4)),
+        petersen(),
+        cycle(12),
+        hypercube(4),
     ]
     rng = random.Random(13)
     return [relabelled(g, rng) for g in graphs for _ in range(3)]

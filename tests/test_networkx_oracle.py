@@ -1,0 +1,91 @@
+"""networkx as an independent oracle for canonical forms, graph6 and
+isomorphism.  Skipped where networkx is not installed; it is never a
+runtime dependency of gcanon."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from gcanon.canon import canonical_form, isomorphic
+from gcanon.graph import Graph, Permutation, apply_permutation
+from gcanon.graph6 import encode_graph6
+
+from .reference_graphs import gnp
+
+nx = pytest.importorskip("networkx")
+
+# Non-isomorphic graphs on n = 0..7 vertices; the atlas holds one of each.
+ATLAS_CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
+
+
+def from_nx(G):
+    """The gcanon graph of G, its vertices numbered in G's node order."""
+    index = {v: i for i, v in enumerate(G)}
+    return Graph.from_edges(len(index),
+                            [(index[u], index[v]) for u, v in G.edges()])
+
+
+@pytest.fixture(scope="module")
+def atlas():
+    return nx.graph_atlas_g()
+
+
+def test_atlas_class_counts(atlas):
+    graphs = Counter(G.number_of_nodes() for G in atlas)
+    classes = Counter(g.n for g in {canonical_form(from_nx(G))
+                                    for G in atlas})
+    counts = [classes[n] for n in range(8)]
+    assert counts == [graphs[n] for n in range(8)] == ATLAS_CLASS_COUNTS
+
+
+def test_graph6_matches_networkx(atlas):
+    for G in atlas:
+        if G.number_of_nodes() >= 1:
+            assert (encode_graph6(from_nx(G)) + "\n").encode() == \
+                nx.to_graph6_bytes(G, header=False)
+
+
+def toggle(rows, u, v):
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+
+
+def isomorphism_pairs():
+    """Seeded pairs at n = 20..40: a graph with a relabeling of itself,
+    of itself with one vertex pair flipped, and of itself with one edge
+    moved to a non-edge (so the edge count agrees)."""
+    rng = random.Random(53)
+    for n in range(20, 41, 4):
+        g = gnp(n, 3000 + n)
+        for kind in ("same", "flip", "move"):
+            rows = list(g.rows)
+            if kind == "flip":
+                toggle(rows, *rng.sample(range(n), 2))
+            elif kind == "move":
+                edges = g.edges()
+                non_edges = [(u, v) for u in range(n)
+                             for v in range(u + 1, n) if (u, v) not in edges]
+                toggle(rows, *rng.choice(edges))
+                toggle(rows, *rng.choice(non_edges))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = apply_permutation(Graph(n, tuple(rows)),
+                                  Permutation(tuple(perm)))
+            yield pytest.param(g, h, id=f"n{n}-{kind}")
+
+
+def to_nx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return G
+
+
+@pytest.mark.parametrize("g,h", isomorphism_pairs())
+def test_isomorphic_agrees_with_networkx(g, h):
+    expected = nx.is_isomorphic(to_nx(g), to_nx(h))
+    result = isomorphic(g.n, g, h)
+    assert (result is not None) == expected
+    if result is not None:
+        assert apply_permutation(g, result[0]) == h

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import pytest
 
-from gcanon.canon import canonical_form
+from gcanon.canon import canonical_form, canonize
 from gcanon.generate import Stats, dedup_canonical
 from gcanon.graph import Graph, GraphError, extensions
 from gcanon.ramsey import (
@@ -112,6 +113,16 @@ class TestGenerateTestReduce:
         assert [r[0] for r in rows] == [1, 2, 3, 4, 5, 6]
         assert [r[1] for r in rows] == R35_CLASS_COUNTS[:6]
         assert out == gen_ramsey_gt(RamseyInstance(3, 5, 6))
+
+    @pytest.mark.parametrize("n,labelled", enumerate(
+        [1, 2, 7, 41, 387, 5617, 113949], start=1))
+    def test_35_labelled_count_identity(self, n, labelled):
+        # Each class of order |Aut| has n!/|Aut| labelled members, and
+        # together the classes hold every labelled (3,5;n) graph.
+        inst = RamseyInstance(3, 5, n)
+        assert len(gen_ramsey_gt(inst, canonize=False)) == labelled
+        assert sum(math.factorial(n) // canonize(g).group_size
+                   for g in gen_ramsey_gt(inst)) == labelled
 
 
 class TestEncoding:
