@@ -10,7 +10,8 @@ Automorphisms discovered as certificate collisions with the first leaf drive
 two prunings of the search:
 
 - orbit pruning: each search node keeps the orbits of the generators that
-  fix its path and absorbs every generator once;
+  fix its path, absorbs every generator once, and skips a child whose
+  orbit's least vertex is below it: a child already tried;
 - jump-back, as in nauty: after a leaf yields an automorphism, the search
   returns at once to the deepest node its path shares with the first path.
   The automorphism fixes that shared prefix and maps the rest of the
@@ -157,16 +158,12 @@ class _CanonSearch:
         # Depth to return to after a leaf gave an automorphism, else None.
         self.jump = None
 
-    def _target_cell_index(self, cells):
-        best = -1
-        best_size = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and (best_size is None or len(cell) < best_size):
-                best, best_size = i, len(cell)
-        return best
-
     def _descend(self, cells, path):
-        ti = self._target_cell_index(cells)
+        # Target the first smallest non-singleton cell.
+        ti = -1
+        for i, cell in enumerate(cells):
+            if len(cell) > 1 and (ti < 0 or len(cell) < len(cells[ti])):
+                ti = i
         if ti < 0:
             self._leaf([c[0] for c in cells], path)
             return
@@ -174,10 +171,11 @@ class _CanonSearch:
         first = self.first_cert is None
         target = cells[ti]
         # Orbits of the generators that fix path pointwise, made when the
-        # first one is found; each generator is absorbed once.
+        # first one is found; each generator is absorbed once.  They map
+        # target, an ascending tuple, onto itself, so orbits[v] < v holds
+        # exactly when v shares an orbit with a child already tried.
         orbits = None
         seen = 0
-        processed = []
         # Children known to share the orbit of target[0] under the
         # automorphisms that fix path: itself, each child whose subtree
         # gave an automorphism (it maps target[0] to that child) and each
@@ -185,18 +183,16 @@ class _CanonSearch:
         # whole orbit, since jump-back never cuts such a node short.
         orbit_size = 1
         for v in target:
-            if processed:
+            if v != target[0]:
                 for gen in self.generators[seen:]:
                     if all(gen[w] == w for w in path):
                         if orbits is None:
                             orbits = list(range(self.n))
                         _absorb(orbits, gen)
                 seen = len(self.generators)
-                if orbits is not None and any(orbits[u] == orbits[v]
-                                              for u in processed):
-                    orbit_size += orbits[v] == orbits[target[0]]
+                if orbits is not None and orbits[v] < v:
+                    orbit_size += orbits[v] == target[0]
                     continue
-            processed.append(v)
             rest = tuple(w for w in target if w != v)
             child = cells[:ti] + [(v,)] + [rest] + cells[ti + 1:]
             child = _refine(self.rows, child, [1 << v])
@@ -214,42 +210,41 @@ class _CanonSearch:
     def _leaf(self, labeling, path):
         cert = _leaf_certificate(self.rows, labeling)
         if self.first_cert is None:
-            self.first_cert = cert
-            self.first_labeling = labeling
+            self.first_cert = self.best_cert = cert
+            self.first_labeling = self.best_labeling = labeling
             self.first_path = path[:]
         elif cert == self.first_cert:
-            # Two labelings with the same certificate witness an automorphism.
+            # Two labelings with the same certificate witness an automorphism,
+            # never the identity: where the paths part, each puts another
+            # vertex in the same singleton cell, which refinement never moves.
             gen = [0] * self.n
             for a, b in zip(self.first_labeling, labeling):
                 gen[a] = b
-            if any(gen[i] != i for i in range(self.n)):
-                self.generators.append(tuple(gen))
-                # gen maps the first path onto path, so it fixes their
-                # common prefix and carries the rest of this subtree onto
-                # the explored first-path subtree: go back to that prefix.
-                j = 0
-                while path[j] == self.first_path[j]:
-                    j += 1
-                self.jump = j
-        if self.best_cert is None or cert < self.best_cert:
+            self.generators.append(tuple(gen))
+            # gen maps the first path onto path, so it fixes their common
+            # prefix and carries the rest of this subtree onto the explored
+            # first-path subtree: go back to that prefix.
+            j = 0
+            while path[j] == self.first_path[j]:
+                j += 1
+            self.jump = j
+        elif cert < self.best_cert:
             self.best_cert = cert
             self.best_labeling = labeling
 
 
 def _canonize_rows(rows, n, coloring_cells=None):
-    """Core search; returns (search, canonic_rows, root_cells), the search
-    holding best_labeling, generators and group_size."""
+    """Core search; returns (search, pos, canonic_rows, root_cells): the
+    search holds best_labeling, generators and group_size; v goes to pos[v]."""
     search = _CanonSearch(rows, n)
-    if n == 0:
-        return search, (), []
     if coloring_cells is None:
-        coloring_cells = [range(n)]
+        coloring_cells = [range(n)] if n else []
     root = _refine_cells(rows, coloring_cells)
     search._descend(root, [])
     pos = [0] * n
     for i, v in enumerate(search.best_labeling):
         pos[v] = i
-    return search, _relabel_rows(rows, pos), root
+    return search, pos, _relabel_rows(rows, pos), root
 
 
 def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
@@ -263,14 +258,13 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
     if coloring is not None and coloring.n != g.n:
         raise GraphError("coloring does not cover the graph's vertices")
     cells = coloring.cells if coloring is not None else None
-    search, crows, root = _canonize_rows(g.rows, g.n, cells)
+    search, pos, crows, root = _canonize_rows(g.rows, g.n, cells)
     orbits = list(range(g.n))
     for gen in search.generators:
         _absorb(orbits, gen)
-    lab = Permutation(tuple(search.best_labeling))
     return CanonicalResult(
-        labeling=lab,
-        permutation=lab.inverse(),
+        labeling=Permutation(tuple(search.best_labeling)),
+        permutation=Permutation(tuple(pos)),
         orbits=tuple(orbits),
         canonic=Graph._trusted(g.n, crows),
         partition=OrderedPartition(tuple(root)),
@@ -280,7 +274,7 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
 
 def canonical_form(g: Graph) -> Graph:
     """Canonical representative of g's isomorphism class."""
-    _, crows, _ = _canonize_rows(g.rows, g.n)
+    _, _, crows, _ = _canonize_rows(g.rows, g.n)
     return Graph._trusted(g.n, crows)
 
 

@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 
-from . import generate, ramsey, sat
+from . import generate, graph6, ramsey, sat
 from .canon import canonical_form, canonize, isomorphic
 from .graph import (
     ADJ_LIST,
@@ -19,7 +19,6 @@ from .graph import (
     GraphError,
     graph_convert,
 )
-from .graph6 import decode_graph6, encode_graph6
 
 FMT_NAMES = {
     "graph6": GRAPH6_ATOM,
@@ -30,13 +29,14 @@ FMT_NAMES = {
 
 
 def _read_graph_texts(stream, fmt: str, n: int):
-    """Parse stdin into per-graph values.  graph6: one atom per line;
-    adj-matrix: n rows of 0/1 characters per graph (blank lines separate),
-    and for n = 0 each blank line is one 0-vertex graph, as it is written;
-    adj-list / edge-list: one JSON value per line."""
+    """Parse stdin into per-graph values.  graph6: one atom per line, any
+    stream header line skipped; adj-matrix: n rows of 0/1 characters per
+    graph (blank lines separate), and for n = 0 each blank line is one
+    0-vertex graph, as it is written; adj-list / edge-list: one JSON value
+    per line."""
     lines = [ln.strip() for ln in stream]
     if fmt == GRAPH6_ATOM:
-        return [ln for ln in lines if ln]
+        return [ln for ln in lines if ln and ln != graph6.STREAM_HEADER]
     if fmt == ADJ_MATRIX:
         rows = [ln.replace(" ", "") for ln in lines if ln]
         if n == 0 and not rows:
@@ -97,8 +97,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    g1 = decode_graph6(args.graph1)
-    g2 = decode_graph6(args.graph2)
+    g1 = graph6.decode_graph6(args.graph1)
+    g2 = graph6.decode_graph6(args.graph2)
     if g1.n != args.n or g2.n != args.n:
         raise GraphError("graph size does not match --n")
     found = isomorphic(args.n, g1, g2)
@@ -110,15 +110,15 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_geng(args) -> int:
-    for g in generate.all_nonisomorphic(args.n):
-        print(encode_graph6(g))
+    graphs = generate.all_nonisomorphic(args.n)
+    sys.stdout.write(graph6.write_graph6_lines(graphs))
     return 0
 
 
 def _cmd_shortg(args) -> int:
-    graphs = [decode_graph6(ln.strip()) for ln in sys.stdin if ln.strip()]
-    for g in generate.dedup_canonical(graphs):
-        print(encode_graph6(g))
+    graphs = generate.dedup_canonical(
+        graph6.read_graph6_lines(sys.stdin.read()))
+    sys.stdout.write(graph6.write_graph6_lines(graphs))
     return 0
 
 
@@ -128,22 +128,17 @@ def _cmd_ramsey(args) -> int:
         _, formula = ramsey.encode_ramsey(inst)
         sys.stdout.write(sat.to_dimacs(formula))
         return 0
-    if args.stats:
-        stats = generate.Stats(
-            lambda *row: print("{}\t{}\t{:.2f}\t{:.2f}".format(*row)))
-        if args.mode == "gt":
-            ramsey.gen_ramsey_gt(inst, stats=stats)
-        else:
-            for k in range(1, args.n + 1):
-                ramsey.gen_ramsey_cg(ramsey.RamseyInstance(args.s, args.t, k),
-                                     stats=stats)
-        return 0
+    row = "{}\t{}\t{:.2f}\t{:.2f}".format
+    stats = generate.Stats(lambda *r: print(row(*r))) if args.stats else None
     if args.mode == "gt":
-        graphs = ramsey.gen_ramsey_gt(inst)
+        graphs = ramsey.gen_ramsey_gt(inst, stats=stats)
     else:
-        graphs = ramsey.gen_ramsey_cg(inst)
-    for g in graphs:
-        print(encode_graph6(g))
+        # A stats row for every size up to n, else the graphs on n.
+        for k in range(1, args.n + 1) if stats else [args.n]:
+            graphs = ramsey.gen_ramsey_cg(
+                ramsey.RamseyInstance(args.s, args.t, k), stats=stats)
+    if stats is None:
+        sys.stdout.write(graph6.write_graph6_lines(graphs))
     return 0
 
 

@@ -56,18 +56,12 @@ def sort_canonical(graphs: Iterable[Graph]) -> list[Graph]:
 
 def extend_and_reduce(graphs: Iterable[Graph],
                       keep: Optional[Callable[[Graph], bool]] = None,
-                      strict: bool = True,
                       stats: Optional[Stats] = None) -> list[Graph]:
     """One extend-test-reduce step: all one-vertex extensions of the given
-    canonical graphs, filtered by keep, canonized, sorted, deduplicated.
-
-    In strict mode the first input graph is spot-checked to be canonical.
-    A stats sink canonizes; the caller, which knows n, closes the level.
-    """
-    if strict:
-        graphs = list(graphs)
-        if graphs and canonical_form(graphs[0]) != graphs[0]:
-            raise GraphError("input graph is not in canonical form")
+    graphs, filtered by keep, canonized, sorted, deduplicated.  They may be
+    any graphs: each child is canonized, so the output classes depend only
+    on the input classes.  A stats sink canonizes; the caller, which knows
+    n, closes the level."""
     canon = canonical_form if stats is None else stats.canonical_form
     return sort_canonical(canon(h) for g in graphs
                           for h in extensions(g) if keep is None or keep(h))
@@ -83,7 +77,7 @@ def all_nonisomorphic(n: int) -> list[Graph]:
             f"n={n} beyond the practical generation limit {MAX_GENERATE_N}")
     acc = [Graph.empty(0)]
     for _ in range(n):
-        acc = extend_and_reduce(acc, strict=False)
+        acc = extend_and_reduce(acc)
     return acc
 
 

@@ -152,7 +152,7 @@ class Permutation:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.map) != list(range(len(self.map))):
+        if set(self.map) != set(range(len(self.map))):
             raise GraphError("permutation is not a bijection on [0,n)")
 
     def __len__(self) -> int:
@@ -169,6 +169,8 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(i) = self(other(i))."""
+        if len(other.map) != len(self.map):
+            raise GraphError("permutation lengths differ")
         return Permutation(tuple(self.map[j] for j in other.map))
 
     def one_based(self) -> list[int]:
@@ -200,9 +202,6 @@ class OrderedPartition:
     @property
     def n(self) -> int:
         return sum(len(c) for c in self.cells)
-
-    def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.cells)
 
     @staticmethod
     def unit(n: int) -> "OrderedPartition":

@@ -75,7 +75,9 @@ def write_graph6_lines(graphs: Iterable[Graph]) -> str:
 
 
 def read_graph6_lines(text: str) -> Iterator[Graph]:
-    for line in text.splitlines():
+    """Graphs of a newline-separated stream, blank and header lines skipped.
+    Split at newlines only: a control character in an atom is an error."""
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line == STREAM_HEADER:
             continue

@@ -121,7 +121,7 @@ def gen_ramsey_gt(inst: RamseyInstance, *, canonize: bool = True,
     for i in range(inst.n):
         keep = _extension_keep(inst.s, inst.t) if ramsey_filter else None
         if canonize:
-            acc = extend_and_reduce(acc, keep, strict=False, stats=stats)
+            acc = extend_and_reduce(acc, keep, stats=stats)
         else:
             acc = sort_canonical(h for g in acc for h in extensions(g)
                                  if keep is None or keep(h))

@@ -401,6 +401,35 @@ def test_symmetric_graphs_take_polynomial_search_nodes(g, monkeypatch):
     canonize(g)
 
 
+def test_search_tree_pin(monkeypatch):
+    # Every 6-vertex class and every large graph, in one seeded relabelling,
+    # plain and with a seeded 2-cell coloring.  The node count pins which
+    # children orbit pruning and jump-back skip; the group sizes pin the
+    # orbit counts on the first path.
+    nodes = 0
+    descend = _CanonSearch._descend
+
+    def counting_descend(self, cells, path):
+        nonlocal nodes
+        nodes += 1
+        return descend(self, cells, path)
+
+    monkeypatch.setattr(_CanonSearch, "_descend", counting_descend)
+    rng = random.Random(53)
+    sizes = []
+    for g in [*all_nonisomorphic(6), *(g for _, g, _ in large_graphs())]:
+        g = relabelled(g, rng)
+        first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+        cells = (tuple(first), tuple(v for v in range(g.n) if v not in first))
+        for opts in (CanonOptions(), CanonOptions(
+                initial_coloring=OrderedPartition(cells))):
+            sizes.append(canonize(g, opts).group_size)
+    digest = hashlib.sha256(repr(sizes).encode()).hexdigest()
+    assert (len(sizes), nodes) == (344, 22321)
+    assert digest == (
+        "a6bc3982aba0514ac11224b918733c4460e2c12fb5fb0df4f15399a3e3f19200")
+
+
 @pytest.mark.parametrize("g", [pytest.param(g, id=name)
                                for name, g, _ in large_graphs()])
 def test_relabeling_invariance_large(g):

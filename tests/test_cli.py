@@ -5,7 +5,7 @@ import pytest
 
 from gcanon.cli import run
 from gcanon.graph import Graph, apply_permutation, Permutation
-from gcanon.graph6 import decode_graph6
+from gcanon.graph6 import STREAM_HEADER, decode_graph6
 from gcanon import sat
 
 from .reference_graphs import CYCLE5_ATOM, CYCLE5_MATRIX, TWELVE_CYCLE_ATOMS
@@ -211,3 +211,16 @@ class TestRamsey:
                            ["ramsey", "gt", "0", "3", "4"])
         assert code == 1
         assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shortg"],
+    ["canon", "--n", "5"],
+    ["convert", "--n", "5", "--from", "graph6", "--to", "edge-list"],
+])
+def test_stream_header_line_is_skipped(capsys, monkeypatch, argv):
+    body = "\n".join(TWELVE_CYCLE_ATOMS) + "\n"
+    plain = cli(capsys, monkeypatch, argv, stdin=body)
+    headed = cli(capsys, monkeypatch, argv, stdin=STREAM_HEADER + "\n" + body)
+    assert plain[0] == 0 and plain[1]
+    assert headed == plain

@@ -1,5 +1,7 @@
-"""The module entry point and the scripts, run as separate processes."""
+"""The console-script entry, and the module entry point and the scripts run
+as separate processes."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -27,6 +29,27 @@ def class_counts(text):
         elif rows is not None and len(cols) > 1:
             rows.append(int(cols[1]))
     return sections
+
+
+def project_scripts():
+    """The [project.scripts] table of pyproject.toml, read as plain text:
+    Python 3.10 has no tomllib."""
+    scripts, inside = {}, False
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            inside = line == "[project.scripts]"
+        elif inside and "=" in line:
+            name, target = line.split("=", 1)
+            scripts[name.strip()] = target.strip().strip('"')
+    return scripts
+
+
+def test_console_script_entry_point():
+    target = project_scripts()["gcanon"]
+    assert target == "gcanon.cli:main"
+    module, attr = target.split(":")
+    assert callable(getattr(importlib.import_module(module), attr))
 
 
 def test_python_m_gcanon():

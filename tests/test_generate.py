@@ -9,7 +9,7 @@ from gcanon.generate import (
     extend_and_reduce,
     sort_canonical,
 )
-from gcanon.graph import Graph, GraphError
+from gcanon.graph import Graph, GraphError, Permutation, apply_permutation
 from gcanon.graph6 import decode_graph6, encode_graph6
 
 from .conftest import all_graphs
@@ -35,22 +35,24 @@ class TestExtendAndReduce:
         assert len(acc) == 34
 
     def test_outputs_are_canonical(self):
-        out = extend_and_reduce([Graph.empty(2)], strict=False)
+        out = extend_and_reduce([Graph.empty(2)])
         assert all(canonical_form(g) == g for g in out)
 
     def test_keep_filter_applied(self):
-        out = extend_and_reduce([Graph.empty(2)], strict=False,
+        out = extend_and_reduce([Graph.empty(2)],
                                 keep=lambda h: h.num_edges() == 0)
         assert out == [Graph.empty(3)]
 
-    def test_strict_rejects_non_canonical(self):
-        # a labeled path 1-0-2 whose canonical form differs
-        g = Graph.from_edges(3, [(0, 1), (0, 2)])
-        if canonical_form(g) == g:
-            g = Graph.from_edges(3, [(0, 2), (1, 2)])
-        assert canonical_form(g) != g
-        with pytest.raises(GraphError):
-            extend_and_reduce([g])
+    def test_relabelled_input_gives_the_same_classes(self):
+        # Every child is canonized, so non-canonical parents are fine.
+        rng = random.Random(59)
+        parents = []
+        for g in all_nonisomorphic(5):
+            perm = list(range(5))
+            rng.shuffle(perm)
+            parents.append(apply_permutation(g, Permutation(tuple(perm))))
+        assert any(canonical_form(g) != g for g in parents)
+        assert extend_and_reduce(parents) == all_nonisomorphic(6)
 
 
 class TestAllNonisomorphic:

@@ -91,3 +91,14 @@ def test_line_round_trip(graphs5):
     text = write_graph6_lines(graphs5[:20])
     assert text.endswith("\n") and " " not in text
     assert list(read_graph6_lines(text)) == graphs5[:20]
+
+
+def test_line_reader_skips_blank_and_header_lines():
+    k2 = Graph.from_edges(2, [(0, 1)])
+    assert list(read_graph6_lines("A_\r\n>>graph6<<\n\nA_")) == [k2, k2]
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x1c", "\x85", "\u2028"])
+def test_line_reader_splits_at_newlines_only(sep):
+    with pytest.raises(Graph6Error):
+        list(read_graph6_lines("A_" + sep + "A_\n"))

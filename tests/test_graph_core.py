@@ -162,6 +162,18 @@ class TestApplyPermutation:
         with pytest.raises(GraphError):
             apply_permutation(Graph.empty(3), Permutation((0, 1)))
 
+    @pytest.mark.parametrize("p,q", [((0, 1, 2), (1, 0)),
+                                     ((1, 0), (0, 1, 2))])
+    def test_compose_length_mismatch(self, p, q):
+        with pytest.raises(GraphError):
+            Permutation(p).compose(Permutation(q))
+
+    @pytest.mark.parametrize("bad", [(0, "a"), (0, None), ("a", "b"),
+                                     (0, 0), (1, 2)])
+    def test_not_a_bijection(self, bad):
+        with pytest.raises(GraphError):
+            Permutation(bad)
+
     def test_mapping_direction(self):
         g = Graph.from_edges(3, [(0, 1)])
         p = Permutation((2, 0, 1))
