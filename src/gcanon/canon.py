@@ -79,7 +79,6 @@ def _refine(rows, cells, seeds):
     while queue:
         smask = queue.popleft()
         newcells = []
-        changed = False
         for cell in cells:
             if len(cell) == 1:
                 newcells.append(cell)
@@ -90,7 +89,6 @@ def _refine(rows, cells, seeds):
             if len(groups) == 1:
                 newcells.append(cell)
                 continue
-            changed = True
             for cnt in sorted(groups):
                 sub = tuple(groups[cnt])
                 newcells.append(sub)
@@ -98,8 +96,7 @@ def _refine(rows, cells, seeds):
                 for v in sub:
                     mask |= 1 << v
                 queue.append(mask)
-        if changed:
-            cells = newcells
+        cells = newcells
     return cells
 
 
@@ -290,5 +287,5 @@ def isomorphic(n: int, g1: Graph, g2: Graph,
     r2 = canonize(g2, opts)
     if r1.canonic != r2.canonic:
         return None
-    p = r2.permutation.inverse().compose(r1.permutation)
+    p = r2.labeling.compose(r1.permutation)
     return p, r1.canonic

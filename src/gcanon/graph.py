@@ -152,8 +152,13 @@ class Permutation:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        if set(self.map) != set(range(len(self.map))):
+        try:
+            m = tuple(self.map)
+        except TypeError:
+            raise GraphError("permutation map is not a sequence") from None
+        if not set(map(type, m)) <= {int} or set(m) != set(range(len(m))):
             raise GraphError("permutation is not a bijection on [0,n)")
+        object.__setattr__(self, "map", m)
 
     def __len__(self) -> int:
         return len(self.map)
@@ -188,16 +193,15 @@ class OrderedPartition:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen = set()
-        for cell in self.cells:
-            if not cell:
-                raise GraphError("empty cell in partition")
-            for v in cell:
-                if v in seen:
-                    raise GraphError(f"vertex {v} appears in two cells")
-                seen.add(v)
-        if seen != set(range(len(seen))):
-            raise GraphError("partition does not cover an initial segment")
+        try:
+            cells = tuple(map(tuple, self.cells))
+            # read in order, the cells list each vertex once: a permutation
+            Permutation(itertools.chain.from_iterable(cells))
+        except (TypeError, GraphError):
+            raise GraphError("not an ordered partition of [0,n)") from None
+        if not all(cells):
+            raise GraphError("empty cell in partition")
+        object.__setattr__(self, "cells", cells)
 
     @property
     def n(self) -> int:

@@ -1,9 +1,9 @@
 """Child-process bridge to external gtools binaries (geng, shortg).
 
-Binaries are located through an explicit tool directory, the GTOOLS_DIR
-environment variable, or the executable search path.  A missing binary
-raises ToolUnavailable, which callers (and the test suite) treat as a skip
-condition, never a failure.
+Binaries are found in the GTOOLS_DIR directory, then on PATH.  A missing
+binary raises ToolUnavailable, which callers (and the test suite) treat as
+a skip condition, never a failure.  Every tool runs through exec_stream,
+which spools the child's stdin and stderr through temporary files.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import os
 import shutil
 import subprocess
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from tempfile import TemporaryFile
+from typing import Iterable, Iterator
 
 GTOOLS_DIR_ENV = "GTOOLS_DIR"
 
@@ -33,7 +34,6 @@ class ToolError(RuntimeError):
 class ToolSpec:
     command: str
     args: tuple[str, ...] = ()
-    tool_dir: Optional[str] = None
 
     def __post_init__(self):
         if not self.command:
@@ -44,13 +44,9 @@ class ToolSpec:
 
 
 def find_binary(spec: ToolSpec) -> str:
-    candidates = []
-    if spec.tool_dir:
-        candidates.append(os.path.join(spec.tool_dir, spec.command))
     env_dir = os.environ.get(GTOOLS_DIR_ENV)
     if env_dir:
-        candidates.append(os.path.join(env_dir, spec.command))
-    for path in candidates:
+        path = os.path.join(env_dir, spec.command)
         if os.path.isfile(path) and os.access(path, os.X_OK):
             return path
     found = shutil.which(spec.command)
@@ -59,42 +55,33 @@ def find_binary(spec: ToolSpec) -> str:
     raise ToolUnavailable(f"cannot find executable {spec.command!r}")
 
 
-def exec_stream(spec: ToolSpec) -> Iterator[str]:
-    """Run the tool with stdout piped back; yields output lines to EOF.
-    A nonzero exit after EOF raises ToolError with the captured stderr."""
+def exec_stream(spec: ToolSpec,
+                input_lines: Iterable[str] = ()) -> Iterator[str]:
+    """Yield the tool's stdout lines to EOF.  Its stdin is a temporary file of
+    input_lines, each newline-terminated (empty without input); its stderr
+    is another, so only stdout is a pipe.  Lines end at universal newlines,
+    not at every str.splitlines break.  Closing early kills the child; a
+    nonzero exit after EOF raises ToolError with the spooled stderr."""
     binary = find_binary(spec)
-    proc = subprocess.Popen([binary, *spec.args],
-                            stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE,
-                            text=True)
-    assert proc.stdout is not None and proc.stderr is not None
-    try:
-        for line in proc.stdout:
-            yield line.rstrip("\n")
-    except GeneratorExit:
-        proc.kill()
-        proc.wait()
-        raise
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    code = proc.wait()
-    if code != 0:
-        raise ToolError(f"{spec.command} exited with status {code}", stderr)
+    with TemporaryFile("w+") as stdin, TemporaryFile("w+") as stderr:
+        stdin.writelines(line + "\n" for line in input_lines)
+        stdin.seek(0)
+        proc = subprocess.Popen([binary, *spec.args], text=True, stdin=stdin,
+                                stdout=subprocess.PIPE, stderr=stderr)
+        with proc.stdout:
+            try:
+                for line in proc.stdout:
+                    yield line.rstrip("\n")
+            except GeneratorExit:
+                proc.kill()
+                proc.wait()
+                raise
+        if proc.wait() != 0:
+            stderr.seek(0)
+            raise ToolError(f"{spec.command} exited with status "
+                            f"{proc.returncode}", stderr.read())
 
 
 def exec_bidi(spec: ToolSpec, input_lines: Iterable[str]) -> list[str]:
-    """Write all input lines, close the child's stdin, then collect its
-    output to EOF.  Sufficient for tools (like shortg) that read everything
-    before writing."""
-    binary = find_binary(spec)
-    proc = subprocess.Popen([binary, *spec.args],
-                            stdin=subprocess.PIPE,
-                            stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE,
-                            text=True)
-    out, err = proc.communicate("".join(line + "\n" for line in input_lines))
-    if proc.returncode != 0:
-        raise ToolError(f"{spec.command} exited with status {proc.returncode}",
-                        err)
-    return out.splitlines()
+    """All output lines of the tool run on input_lines."""
+    return list(exec_stream(spec, input_lines))

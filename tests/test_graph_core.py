@@ -169,10 +169,16 @@ class TestApplyPermutation:
             Permutation(p).compose(Permutation(q))
 
     @pytest.mark.parametrize("bad", [(0, "a"), (0, None), ("a", "b"),
-                                     (0, 0), (1, 2)])
+                                     (0, 0), (1, 2), 5, None, ([0], 1),
+                                     (0, 1.0), (0, True), (False, 1)])
     def test_not_a_bijection(self, bad):
         with pytest.raises(GraphError):
             Permutation(bad)
+
+    def test_list_map_stored_as_tuple(self):
+        p = Permutation([1, 0])
+        assert p.map == (1, 0)
+        assert hash(p) == hash(Permutation((1, 0)))
 
     def test_mapping_direction(self):
         g = Graph.from_edges(3, [(0, 1)])
@@ -278,6 +284,17 @@ class TestOrderedPartition:
     def test_rejects_empty_cell(self):
         with pytest.raises(GraphError):
             OrderedPartition(((0,), ()))
+
+    @pytest.mark.parametrize("bad", [5, None, (0, 1), ((0,), (True,)),
+                                     ((0,), (1.0,)), ((0,), ("1",))])
+    def test_rejects_non_int_cells(self, bad):
+        with pytest.raises(GraphError):
+            OrderedPartition(bad)
+
+    def test_lists_stored_as_tuples(self):
+        p = OrderedPartition([[1, 0], [2]])
+        assert p.cells == ((1, 0), (2,))
+        assert hash(p) == hash(OrderedPartition(((1, 0), (2,))))
 
     def test_unit(self):
         assert OrderedPartition.unit(3).cells == ((0, 1, 2),)

@@ -1,4 +1,6 @@
 import os
+import shutil
+import signal
 import stat
 
 import pytest
@@ -13,6 +15,27 @@ from gcanon.gtools import (
     exec_stream,
     find_binary,
 )
+
+
+def fake_tool(directory, name, body):
+    """An executable shell script directory/name running body."""
+    fake = directory / name
+    fake.write_text("#!/bin/sh\n" + body)
+    fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
+    return fake
+
+
+def drain(lines):
+    """list(lines), failing instead of hanging past 10 s."""
+    def expire(signum, frame):
+        raise TimeoutError("still blocked after 10 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        return list(lines)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def gtool_or_skip(command, *args):
@@ -42,16 +65,14 @@ class TestFindBinary:
     def test_path_lookup(self):
         assert os.path.isabs(find_binary(ToolSpec("sh")))
 
-    def test_explicit_dir_takes_precedence(self, tmp_path):
-        fake = tmp_path / "sh"
-        fake.write_text("#!/bin/sh\nexit 0\n")
-        fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
-        assert find_binary(ToolSpec("sh", tool_dir=str(tmp_path))) == str(fake)
+    def test_env_dir_takes_precedence_over_path(self, tmp_path, monkeypatch):
+        fake = fake_tool(tmp_path, "sh", "exit 0\n")
+        monkeypatch.setenv("GTOOLS_DIR", str(tmp_path))
+        assert shutil.which("sh") != str(fake)
+        assert find_binary(ToolSpec("sh")) == str(fake)
 
     def test_env_dir(self, tmp_path, monkeypatch):
-        fake = tmp_path / "envtool-zz"
-        fake.write_text("#!/bin/sh\nexit 0\n")
-        fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
+        fake = fake_tool(tmp_path, "envtool-zz", "exit 0\n")
         monkeypatch.setenv("GTOOLS_DIR", str(tmp_path))
         assert find_binary(ToolSpec("envtool-zz")) == str(fake)
 
@@ -73,9 +94,42 @@ class TestPlumbing:
         assert next(it) == "y"
         it.close()
 
+    def test_stream_survives_full_stderr(self):
+        # 200,000 bytes is past any pipe buffer: a stderr pipe left unread
+        # while stdout is read to EOF would block the child and the parent
+        noisy = "head -c 200000 /dev/zero | tr '\\0' x >&2; "
+        done = ToolSpec("sh", ("-c", noisy + "echo done"))
+        assert drain(exec_stream(done)) == ["done"]
+        with pytest.raises(ToolError) as exc:
+            drain(exec_stream(ToolSpec("sh", ("-c", noisy + "exit 4"))))
+        assert exc.value.stderr == "x" * 200000
+
+    def test_stream_feeds_input_lines(self):
+        lines = [f"line {i}" for i in range(1000)]
+        assert drain(exec_stream(ToolSpec("cat"), lines)) == lines
+
+    def test_stream_without_input_reads_empty_stdin(self):
+        assert drain(exec_stream(ToolSpec("cat"))) == []
+
+    def test_stream_early_close_kills_fed_child(self, tmp_path, monkeypatch):
+        # a cat that prints its pid, then becomes the real cat; 100,000
+        # lines overfill the stdout pipe, so it is still running at close
+        fake_tool(tmp_path, "cat", f"echo $$\nexec {shutil.which('cat')}\n")
+        monkeypatch.setenv("GTOOLS_DIR", str(tmp_path))
+        it = exec_stream(ToolSpec("cat"), [str(i) for i in range(100000)])
+        pid = int(next(it))
+        assert next(it) == "0"
+        it.close()
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
     def test_bidi_round_trip(self):
         spec = ToolSpec("sort", ())
         assert exec_bidi(spec, ["b", "a", "c"]) == ["a", "b", "c"]
+
+    def test_bidi_splits_at_newlines_only(self):
+        spec = ToolSpec("sh", ("-c", "printf 'a\\fb\\n'"))
+        assert exec_bidi(spec, []) == ["a\fb"]
 
     def test_bidi_nonzero_exit(self):
         spec = ToolSpec("sh", ("-c", "cat > /dev/null; exit 2"))
