@@ -17,6 +17,8 @@ def main():
     ap.add_argument("--max-n", type=int, default=7,
                     help=f"largest size to count (cap {MAX_GENERATE_N})")
     args = ap.parse_args()
+    if not 0 <= args.max_n <= MAX_GENERATE_N:
+        ap.error(f"--max-n must be in 0..{MAX_GENERATE_N}")
 
     acc = [Graph.empty(0)]
     print("n\tclasses\tseconds")

@@ -41,6 +41,7 @@ from .graph import (
     GraphError,
     OrderedPartition,
     Permutation,
+    _derived,
     _relabel_rows,
 )
 
@@ -117,7 +118,7 @@ def refine_equitable(g: Graph, p: OrderedPartition) -> OrderedPartition:
     """Coarsest equitable refinement of p with deterministic cell order."""
     if p.n != g.n:
         raise GraphError("partition does not cover the graph's vertices")
-    return OrderedPartition(tuple(_refine_cells(g.rows, p.cells)))
+    return _derived(OrderedPartition, tuple(_refine_cells(g.rows, p.cells)))
 
 
 def _leaf_certificate(rows, labeling):
@@ -260,11 +261,11 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
     for gen in search.generators:
         _absorb(orbits, gen)
     return CanonicalResult(
-        labeling=Permutation(tuple(search.best_labeling)),
-        permutation=Permutation(tuple(pos)),
+        labeling=_derived(Permutation, tuple(search.best_labeling)),
+        permutation=_derived(Permutation, tuple(pos)),
         orbits=tuple(orbits),
         canonic=Graph._trusted(g.n, crows),
-        partition=OrderedPartition(tuple(root)),
+        partition=_derived(OrderedPartition, tuple(root)),
         group_size=search.group_size,
     )
 

@@ -30,7 +30,10 @@ class VertexCapExceeded(GraphError):
 
 
 def _check_vertex_count(n: int) -> None:
-    """Reject a negative n or one above the cap, before n rows exist."""
+    """Reject an n that is not an int, is negative or is above the cap,
+    before n rows exist."""
+    if type(n) is not int:
+        raise GraphError(f"vertex count {n!r} is not an int")
     if n < 0:
         raise GraphError("negative vertex count")
     if n > DEFAULT_VERTEX_CAP:
@@ -47,8 +50,13 @@ class Graph:
 
     def __post_init__(self):
         _check_vertex_count(self.n)
-        if type(self.rows) is not tuple:
-            object.__setattr__(self, "rows", tuple(self.rows))
+        try:
+            rows = tuple(self.rows)
+        except TypeError:
+            raise GraphError("graph rows are not a sequence") from None
+        if not set(map(type, rows)) <= {int}:
+            raise GraphError("graph rows are not all int bitmasks")
+        object.__setattr__(self, "rows", rows)
         if len(self.rows) != self.n:
             raise GraphError("row count does not match vertex count")
         full = (1 << self.n) - 1
@@ -120,12 +128,23 @@ class Graph:
     def from_edges(n: int, edges) -> "Graph":
         _check_vertex_count(n)
         rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        try:
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise GraphError(f"self loop at vertex {u}")
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        except GraphError:
+            raise
+        except (TypeError, ValueError):  # a bad type, or not a pair
+            raise GraphError("edges are not pairs of int vertices") from None
+        rows = tuple(rows)
+        if not set(map(type, rows)) <= {int}:  # an int-like vertex type
+            raise GraphError("edges are not pairs of int vertices")
+        # each edge sets both of its bits: symmetric by construction
+        return Graph._trusted(n, rows)
 
     @staticmethod
     def from_matrix(matrix: Sequence[Sequence[int]]) -> "Graph":
@@ -143,6 +162,13 @@ class Graph:
                     row |= 1 << v
             rows.append(row)
         return Graph(n, tuple(rows))
+
+
+def _derived(cls, value):
+    """Unchecked cls(value), for a value derived from checked ones."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, cls.__match_args__[0], value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -166,17 +192,11 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.map[i]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.map)
-        for i, j in enumerate(self.map):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(i) = self(other(i))."""
         if len(other.map) != len(self.map):
             raise GraphError("permutation lengths differ")
-        return Permutation(tuple(self.map[j] for j in other.map))
+        return _derived(Permutation, tuple(self.map[j] for j in other.map))
 
     def one_based(self) -> list[int]:
         return [i + 1 for i in self.map]

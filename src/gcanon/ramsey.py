@@ -27,6 +27,8 @@ class RamseyInstance:
     n: int
 
     def __post_init__(self):
+        if not {type(self.s), type(self.t), type(self.n)} <= {int}:
+            raise GraphError("s, t and n must be int")
         if self.s < 1 or self.t < 1 or self.n < 0:
             raise GraphError("require s >= 1, t >= 1, n >= 0")
 
@@ -187,8 +189,9 @@ def encode_ramsey(inst: RamseyInstance) -> tuple[EdgeVarMap, sat.CnfFormula]:
 def decode_model(evm: EdgeVarMap, model: sat.Model) -> Graph:
     """Graph with edge {u,v} present iff its variable is true."""
     rows = [0] * evm.n
+    values = model.values
     for (u, v), var in evm.var.items():
-        if model[var]:
+        if values[var - 1]:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Graph._trusted(evm.n, tuple(rows))

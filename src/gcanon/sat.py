@@ -24,18 +24,24 @@ class SatError(ValueError):
 class CnfFormula:
     """Clauses over variables 1..num_vars as tuples of DIMACS literals.
 
-    Validated once, here: literal 0, a literal beyond num_vars, an empty
-    clause and a negative num_vars are rejected; duplicate literals are
-    removed keeping their order, and tautologies are dropped."""
+    Validated once, here: a num_vars or literal that is not an int (bool
+    included), literal 0, a literal beyond num_vars, an empty clause and a
+    negative num_vars are rejected; duplicate literals are removed keeping
+    their order, and tautologies are dropped."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.num_vars) is not int:
+            raise SatError(f"variable count {self.num_vars!r} is not an int")
         if self.num_vars < 0:
             raise SatError(f"negative variable count {self.num_vars}")
         kept = []
         for clause in self.clauses:
+            clause = tuple(clause)
+            if not set(map(type, clause)) <= {int}:
+                raise SatError(f"clause {clause!r} holds a non-int literal")
             lits = dict.fromkeys(clause)
             if not lits:
                 raise SatError("empty clause")
@@ -171,33 +177,32 @@ class DpllSolver:
                     return k
         return None
 
-    def enumerate_projected(self, projection: Sequence[int]) -> list[bytes]:
+    def enumerate_projected(self, projection: list[int]) -> list[bytes]:
         """All models pairwise distinct on the projection variables, each
-        as one 0/1 byte per variable.
+        as one 0/1 byte per variable.  projection is used as solve_all
+        makes and checks it: distinct variables of 1..num_vars, ascending.
 
-        The search branches on the projection variables in ascending
-        order, then on the other variables in ascending order, false before
-        true.  At each full model it records the model and drops the
-        decisions on non-projection variables, so backtracking resumes at
-        the deepest projection decision: each satisfiable projection
-        assignment is reported once, with its first completion.  The
-        projection assignments thus arrive in lexicographic order, lowest
-        projection variable most significant; for a projection 1..k that
-        is the false-first lexicographic order of the whole models.  With
-        an empty projection only the first model is returned."""
+        The search branches on the projection variables, then on the
+        others in ascending order, false before true.  At each full model
+        it drops the decisions on non-projection variables, so
+        backtracking resumes at the deepest projection decision: each
+        satisfiable projection assignment is reported once, with its first
+        completion, in lexicographic order, lowest projection variable most
+        significant; for a projection 1..k that is the false-first
+        lexicographic order of the whole models.  With an empty projection
+        only the first model is returned."""
         models: list[bytes] = []
         if not self._assert_units():
             return models
         nv, lv = self.num_vars, self.lv
-        proj = sorted(set(projection))
-        chosen = set(proj)
-        order = proj + [v for v in range(1, nv + 1) if v not in chosen]
+        chosen = set(projection)
+        order = projection + [v for v in range(1, nv + 1) if v not in chosen]
         decisions: list[tuple[int, int]] = []  # (trail mark, place in order)
         k = 0
         while True:
             if len(self.trail) == nv:  # each variable is on it once
                 models.append(bytes(lv[1:nv + 1]))
-                while decisions and decisions[-1][1] >= len(proj):
+                while decisions and decisions[-1][1] >= len(projection):
                     self._undo_to(decisions.pop()[0])
             else:
                 while lv[order[k]] is not None:
@@ -229,7 +234,10 @@ def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[Model]:
     Ramsey encoding, that is the lexicographic order of the whole models.
     An empty projection gives the first model only.
     """
-    proj = sorted(set(projection))
+    proj = list(projection)
+    if not set(map(type, proj)) <= {int}:
+        raise SatError("projection variables are not all int")
+    proj = sorted(set(proj))
     for v in proj:
         if not 1 <= v <= f.num_vars:
             raise SatError(f"projection variable {v} out of range")

@@ -430,6 +430,31 @@ def test_search_tree_pin(monkeypatch):
         "a6bc3982aba0514ac11224b918733c4460e2c12fb5fb0df4f15399a3e3f19200")
 
 
+def test_results_are_valid_values():
+    # canonize, refine_equitable and compose build their results unchecked;
+    # rebuilding each through its checked constructor must give it back.
+    rng = random.Random(59)
+    for g in [*all_nonisomorphic(6), *(g for _, g, _ in large_graphs())]:
+        g = relabelled(g, rng)
+        first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+        cells = (tuple(first), tuple(v for v in range(g.n) if v not in first))
+        for coloring in (None, OrderedPartition(cells)):
+            r = canonize(g, CanonOptions(initial_coloring=coloring))
+            for p in (r.labeling, r.permutation):
+                assert type(p.map) is tuple
+                assert Permutation(p.map) == p
+            assert OrderedPartition(r.partition.cells) == r.partition
+            assert refine_equitable(g, r.partition) == r.partition
+            assert refine_equitable(
+                g, coloring or OrderedPartition.unit(g.n)) == r.partition
+            assert (r.labeling.compose(r.permutation)
+                    == Permutation.identity(g.n))
+        h = relabelled(g, rng)
+        p, _ = isomorphic(g.n, g, h)
+        assert Permutation(p.map) == p
+        assert apply_permutation(g, p) == h
+
+
 @pytest.mark.parametrize("g", [pytest.param(g, id=name)
                                for name, g, _ in large_graphs()])
 def test_relabeling_invariance_large(g):

@@ -7,6 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from gcanon.generate import MAX_GENERATE_N
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -59,6 +63,16 @@ def test_python_m_gcanon():
 def test_count_classes_script():
     out = run_python("scripts/count_classes.py", "--max-n", "5")
     assert class_counts(out) == [[1, 2, 4, 11, 34]]
+
+
+@pytest.mark.parametrize("max_n", ["10", "-1"])
+def test_count_classes_script_enforces_its_cap(max_n):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "scripts/count_classes.py", "--max-n", max_n],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode != 0
+    assert f"0..{MAX_GENERATE_N}" in proc.stderr
 
 
 def test_ramsey_tables_script():

@@ -64,6 +64,36 @@ class TestGraphValue:
         with pytest.raises(VertexCapExceeded):
             Graph.empty(65)
 
+    @pytest.mark.parametrize("n, rows", [
+        (2, (2.0, 1.0)), ("2", (0, 0)), (2.0, (0, 0)), (2, None),
+        (True, (0,)), (2, (2, True))])
+    def test_rejects_non_int_values(self, n, rows):
+        with pytest.raises(GraphError):
+            Graph(n, rows)
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0, 1.0)]), (3, [(0, "1")]), (3, [(0, None)]), (3.0, [(0, 1)]),
+        (True, []), (3, [(0, 1, 2)]), (3, [(0,)]), (3, None)])
+    def test_from_edges_rejects_non_int_values(self, n, edges):
+        with pytest.raises(GraphError):
+            Graph.from_edges(n, edges)
+
+    @pytest.mark.parametrize("n, matrix", [
+        (2.0, [[0, 0], [0, 0]]), ("2", [[0, 0], [0, 0]]), (True, [[0]])])
+    def test_convert_rejects_non_int_n(self, n, matrix):
+        with pytest.raises(GraphError):
+            graph_convert(n, ADJ_MATRIX, GRAPH6_ATOM, matrix)
+
+    def test_from_edges_rejects_int_like_vertices(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(GraphError):
+            Graph.from_edges(3, [(0, np.int64(1))])
+
+    def test_from_edges_graph_is_symmetric(self):
+        g = Graph.from_edges(4, [(0, 1), (3, 1), (2, 0), (1, 0)])
+        assert g == Graph(4, g.rows)
+        assert g.rows == (0b0110, 0b1001, 0b0001, 0b0010)
+
     def test_delete_vertex_restores_parent(self):
         g = Graph.from_matrix(CYCLE5_MATRIX)
         h = g.delete_vertex(4)

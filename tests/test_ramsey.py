@@ -45,6 +45,12 @@ class TestIsRamsey:
         with pytest.raises(GraphError):
             is_ramsey(RamseyInstance(3, 3, 4), C5)
 
+    @pytest.mark.parametrize("s, t, n", [
+        (3.0, 3, 5), (3, "3", 5), (3, 3, 5.0), (True, 3, 5)])
+    def test_instance_rejects_non_int(self, s, t, n):
+        with pytest.raises(GraphError):
+            RamseyInstance(s, t, n)
+
     def test_twelve_labeled_33_colorings_on_five(self):
         inst = RamseyInstance(3, 3, 5)
         sols = [g for g in all_graphs(5) if is_ramsey(inst, g)]
@@ -162,6 +168,14 @@ class TestEncoding:
             g = decode_model(evm, m)
             assert all(m[evm[(u, v)]] == g.has_edge(u, v)
                        for u, v in itertools.combinations(range(5), 2))
+
+    def test_decode_model_matches_from_edges(self):
+        evm, f = encode_ramsey(RamseyInstance(3, 5, 8))
+        models = sat.solve_all(f, evm.var.values())
+        assert models
+        for m in models:
+            assert decode_model(evm, m) == Graph.from_edges(
+                evm.n, [pair for pair, var in evm.var.items() if m[var]])
 
     def test_symmetry_break_soundness(self):
         # dropping the lex constraints must not lose any canonical class

@@ -76,6 +76,13 @@ class TestValueTypes:
         with pytest.raises(SatError):
             CnfFormula.of(2, [[-3]])
 
+    @pytest.mark.parametrize("num_vars, clauses", [
+        (2, [[True, 2]]), (2, [[1, True]]), (True, [[1]]), (2, [[1.0, 2]]),
+        (2.5, [[1, 2]]), (2, [["1", 2]]), ("2", [[1]])])
+    def test_formula_rejects_non_int(self, num_vars, clauses):
+        with pytest.raises(SatError):
+            CnfFormula.of(num_vars, clauses)
+
     def test_formula_rejects_negative_num_vars(self):
         with pytest.raises(SatError):
             CnfFormula.of(-1, [])
@@ -140,6 +147,11 @@ class TestSolveAll:
     def test_projection_out_of_range(self):
         with pytest.raises(SatError):
             solve_all(CnfFormula.of(2, []), [3])
+
+    @pytest.mark.parametrize("projection", [["1"], [True], [1, True], [1.0]])
+    def test_projection_rejects_non_int(self, projection):
+        with pytest.raises(SatError):
+            solve_all(CnfFormula.of(2, []), projection)
 
     def test_matches_truth_table(self):
         rng = random.Random(13)
