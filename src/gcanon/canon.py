@@ -6,6 +6,10 @@ differs from nauty's internal choice of representative but is a valid
 canonical form: two graphs get the same representative iff they are
 isomorphic (color-respectingly so, when an initial coloring is given).
 
+Refinement stops at a discrete partition and never queues the last
+sub-cell of a split cell, which could split nothing; the cells and their
+order stay those of the full queue (the FIFO argument is at _refine).
+
 Automorphisms discovered as certificate collisions with the first leaf drive
 two prunings of the search:
 
@@ -43,6 +47,7 @@ from .graph import (
     Permutation,
     _derived,
     _relabel_rows,
+    _upper_bits,
 )
 
 
@@ -75,9 +80,23 @@ def _refine(rows, cells, seeds):
     """Refine cells (list of sorted vertex tuples) against the seed splitter
     masks until equitable.  Sub-cells replace their parent in place, ordered
     by ascending neighbour count; the result is the coarsest equitable
-    refinement reachable from the seeds."""
+    refinement reachable from the seeds.
+
+    The loop ends at a discrete partition, and a split cell queues the
+    masks of all its sub-cells but the last.  Neither changes the cells or
+    their order.  The queue is FIFO, so when the last sub-cell's mask would
+    be dequeued, every cell is uniform with respect to its parent X (X was
+    a seed, or was queued before the split, or was itself a skipped last
+    sub-cell, by induction) and to X's earlier sub-cells, queued just
+    before.  Counts into the last sub-cell are the difference, so it would
+    split nothing.  In _descend every cell of the equitable parent is
+    uniform from the start, and the rest of the target once the seed, its
+    new singleton, is done.  Skipping the largest sub-cell instead, as
+    Hopcroft does, can reorder cells.
+    """
+    n = len(rows)
     queue = deque(seeds)
-    while queue:
+    while queue and len(cells) < n:
         smask = queue.popleft()
         newcells = []
         for cell in cells:
@@ -90,11 +109,12 @@ def _refine(rows, cells, seeds):
             if len(groups) == 1:
                 newcells.append(cell)
                 continue
-            for cnt in sorted(groups):
-                sub = tuple(groups[cnt])
-                newcells.append(sub)
+            counts = sorted(groups)
+            for cnt in counts:
+                newcells.append(tuple(groups[cnt]))
+            for cnt in counts[:-1]:
                 mask = 0
-                for v in sub:
+                for v in groups[cnt]:
                     mask |= 1 << v
                 queue.append(mask)
         cells = newcells
@@ -119,17 +139,6 @@ def refine_equitable(g: Graph, p: OrderedPartition) -> OrderedPartition:
     if p.n != g.n:
         raise GraphError("partition does not cover the graph's vertices")
     return _derived(OrderedPartition, tuple(_refine_cells(g.rows, p.cells)))
-
-
-def _leaf_certificate(rows, labeling):
-    """Upper-triangle bits of the graph relabeled so labeling[i] sits at
-    position i; graph6 bit order, first bit most significant."""
-    cert = 0
-    for j in range(1, len(labeling)):
-        lj = labeling[j]
-        for i in range(j):
-            cert = cert << 1 | (rows[labeling[i]] >> lj & 1)
-    return cert
 
 
 def _absorb(orbits, gen):
@@ -180,8 +189,8 @@ class _CanonSearch:
         # child pruned into its orbit.  On a first-path node this is the
         # whole orbit, since jump-back never cuts such a node short.
         orbit_size = 1
-        for v in target:
-            if v != target[0]:
+        for k, v in enumerate(target):
+            if k:
                 for gen in self.generators[seen:]:
                     if all(gen[w] == w for w in path):
                         if orbits is None:
@@ -191,7 +200,7 @@ class _CanonSearch:
                 if orbits is not None and orbits[v] < v:
                     orbit_size += orbits[v] == target[0]
                     continue
-            rest = tuple(w for w in target if w != v)
+            rest = target[:k] + target[k + 1:]
             child = cells[:ti] + [(v,)] + [rest] + cells[ti + 1:]
             child = _refine(self.rows, child, [1 << v])
             path.append(v)
@@ -206,7 +215,7 @@ class _CanonSearch:
             self.group_size *= orbit_size
 
     def _leaf(self, labeling, path):
-        cert = _leaf_certificate(self.rows, labeling)
+        cert = _upper_bits(self.rows, labeling)
         if self.first_cert is None:
             self.first_cert = self.best_cert = cert
             self.first_labeling = self.best_labeling = labeling

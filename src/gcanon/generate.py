@@ -12,7 +12,7 @@ import time
 from typing import Callable, Iterable, Optional
 
 from .canon import canonical_form
-from .graph import Graph, GraphError, extensions
+from .graph import Graph, GraphError, _check_vertex_count, extensions
 from .graph6 import encode_graph6
 
 MAX_GENERATE_N = 9  # desk-scale limit; 274668 classes at n=9
@@ -70,8 +70,7 @@ def extend_and_reduce(graphs: Iterable[Graph],
 def all_nonisomorphic(n: int) -> list[Graph]:
     """One representative per isomorphism class of n-vertex graphs, sorted
     by graph6 encoding."""
-    if n < 0:
-        raise GraphError("negative vertex count")
+    _check_vertex_count(n)
     if n > MAX_GENERATE_N:
         raise GraphError(
             f"n={n} beyond the practical generation limit {MAX_GENERATE_N}")

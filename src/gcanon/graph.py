@@ -102,11 +102,7 @@ class Graph:
         """Upper-triangle adjacency packed as an integer, graph6 bit order
         (column by column), first bit most significant.  Total order key on
         graphs of equal n."""
-        bits = 0
-        for v in range(1, self.n):
-            for u in range(v):
-                bits = bits << 1 | (self.rows[u] >> v & 1)
-        return bits
+        return _upper_bits(self.rows, range(self.n))
 
     def delete_vertex(self, v: int) -> "Graph":
         """Induced subgraph on the other n-1 vertices, order preserved."""
@@ -203,7 +199,8 @@ class Permutation:
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
+        _check_vertex_count(n)
+        return _derived(Permutation, tuple(range(n)))
 
 
 @dataclass(frozen=True)
@@ -229,9 +226,8 @@ class OrderedPartition:
 
     @staticmethod
     def unit(n: int) -> "OrderedPartition":
-        if n == 0:
-            return OrderedPartition(())
-        return OrderedPartition((tuple(range(n)),))
+        _check_vertex_count(n)
+        return _derived(OrderedPartition, (tuple(range(n)),) if n else ())
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:
@@ -243,14 +239,31 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
 
 def _relabel_rows(rows, pos) -> tuple[int, ...]:
     """Adjacency rows with vertex u moved to position pos[u]."""
+    bit = [1 << p for p in pos]
     out = [0] * len(rows)
     for u, row in enumerate(rows):
-        pu = pos[u]
+        r = 0
         while row:
-            v = (row & -row).bit_length() - 1
-            row &= row - 1
-            out[pu] |= 1 << pos[v]
+            low = row & -row
+            r |= bit[low.bit_length() - 1]
+            row ^= low
+        out[pos[u]] = r
     return tuple(out)
+
+
+def _upper_bits(rows, order) -> int:
+    """Upper-triangle bits of the graph relabeled so order[i] sits at
+    position i, in graph6 order, first bit most significant; each column
+    is packed in a small int, so the big int shifts once per column."""
+    picked = [rows[u] for u in order]
+    bits = 0
+    for j in range(1, len(picked)):
+        w = order[j]
+        col = 0
+        for row in picked[:j]:
+            col = col << 1 | (row >> w & 1)
+        bits = bits << j | col
+    return bits
 
 
 def extensions(g: Graph) -> Iterator[Graph]:
@@ -282,6 +295,9 @@ def extensions(g: Graph) -> Iterator[Graph]:
 
 def k_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """All size-k subsets of [0,n) in lexicographic order."""
+    _check_vertex_count(n)
+    if type(k) is not int:
+        raise GraphError(f"subset size {k!r} is not an int")
     if k < 0:
         raise GraphError("negative subset size")
     return itertools.combinations(range(n), k)

@@ -61,11 +61,17 @@ def decode_graph6(atom: str) -> Graph:
     rows = [0] * n
     pos = nbits
     for v in range(1, n):
-        for u in range(v):
-            pos -= 1
-            if bits >> pos & 1:
+        # column v holds (0,v) .. (v-1,v), (v-1,v) in its lowest bit
+        pos -= v
+        col = bits >> pos
+        bits ^= col << pos
+        u = v
+        while col:
+            u -= 1
+            if col & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
+            col >>= 1
     return Graph._trusted(n, tuple(rows))
 
 

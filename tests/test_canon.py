@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 
 from gcanon.canon import (
     CanonOptions,
     _CanonSearch,
+    _refine,
     canonical_form,
     canonize,
     isomorphic,
@@ -106,6 +108,59 @@ def is_equitable(g, partition):
             if len(counts) > 1:
                 return False
     return True
+
+
+def full_queue_refine(rows, cells, seeds):
+    """Reference refinement: _refine without its two stopping rules, every
+    sub-cell's mask queued and no exit at a discrete partition."""
+    queue = deque(seeds)
+    while queue:
+        smask = queue.popleft()
+        newcells = []
+        for cell in cells:
+            if len(cell) == 1:
+                newcells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+            if len(groups) == 1:
+                newcells.append(cell)
+                continue
+            for cnt in sorted(groups):
+                sub = tuple(groups[cnt])
+                newcells.append(sub)
+                mask = 0
+                for v in sub:
+                    mask |= 1 << v
+                queue.append(mask)
+        cells = newcells
+    return cells
+
+
+def test_refine_keeps_full_queue_cell_order():
+    # Root refinements of every 6-vertex class and every large graph, in
+    # seeded relabellings, plain and with a seeded 2-cell coloring, and
+    # every child one level down from each: the cells, in order, are those
+    # of the full-queue reference.
+    rng = random.Random(67)
+    for g in [*all_nonisomorphic(6), *(g for _, g, _ in large_graphs())]:
+        g = relabelled(g, rng)
+        first = sorted(rng.sample(range(g.n), rng.randint(1, g.n - 1)))
+        rest = [v for v in range(g.n) if v not in first]
+        for coloring in ([tuple(range(g.n))], [tuple(first), tuple(rest)]):
+            seeds = [sum(1 << v for v in cell) for cell in coloring]
+            root = _refine(g.rows, coloring, seeds)
+            assert root == full_queue_refine(g.rows, coloring, seeds)
+            target = min(root, key=lambda c: (len(c) == 1, len(c)))
+            if len(target) == 1:
+                continue
+            ti = root.index(target)
+            for k, v in enumerate(target):
+                child = (root[:ti] + [(v,), target[:k] + target[k + 1:]]
+                         + root[ti + 1:])
+                assert (_refine(g.rows, child, [1 << v])
+                        == full_queue_refine(g.rows, child, [1 << v]))
 
 
 class TestRefineEquitable:

@@ -1,6 +1,9 @@
+import itertools
+import random
+
 import pytest
 
-from gcanon.graph import Graph
+from gcanon.graph import Graph, _relabel_rows, _upper_bits
 from gcanon.graph6 import (
     Graph6Error,
     decode_graph6,
@@ -102,3 +105,60 @@ def test_line_reader_skips_blank_and_header_lines():
 def test_line_reader_splits_at_newlines_only(sep):
     with pytest.raises(Graph6Error):
         list(read_graph6_lines("A_" + sep + "A_\n"))
+
+
+def per_bit_upper(rows, order):
+    """Reference packing: one shift of the result per bit."""
+    bits = 0
+    for j in range(1, len(order)):
+        for i in range(j):
+            bits = bits << 1 | (rows[order[i]] >> order[j] & 1)
+    return bits
+
+
+def per_bit_relabel(rows, pos):
+    """Reference relabeling: one adjacency bit at a time."""
+    n = len(rows)
+    out = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if rows[u] >> v & 1:
+                out[pos[u]] |= 1 << pos[v]
+    return tuple(out)
+
+
+def seeded_graphs(density, seed):
+    """One seeded graph of the given edge density for each n = 0..62."""
+    rng = random.Random(seed)
+    for n in range(63):
+        yield Graph.from_edges(n, [
+            e for e in itertools.combinations(range(n), 2)
+            if rng.random() < density])
+
+
+DENSITIES = [0, 0.05, 0.5, 0.95, 1]
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+def test_packing_kernels_match_per_bit_reference(density):
+    rng = random.Random(71)
+    for g in seeded_graphs(density, 73):
+        assert g.upper_triangle_bits() == per_bit_upper(g.rows, range(g.n))
+        labeling = list(range(g.n))
+        rng.shuffle(labeling)
+        assert (_upper_bits(g.rows, labeling)
+                == per_bit_upper(g.rows, labeling))
+        assert (_relabel_rows(g.rows, labeling)
+                == per_bit_relabel(g.rows, labeling))
+        assert decode_graph6(encode_graph6(g)) == g
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+def test_encoding_matches_networkx(density):
+    nx = pytest.importorskip("networkx")
+    for g in seeded_graphs(density, 79):
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges())
+        assert (encode_graph6(g).encode() + b"\n"
+                == nx.to_graph6_bytes(G, header=False))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcanon.generate import all_nonisomorphic
 from gcanon.graph import (
     ADJ_LIST,
     ADJ_MATRIX,
@@ -304,6 +305,21 @@ class TestKSubsets:
     def test_lexicographic(self):
         subs = list(k_subsets(6, 3))
         assert subs == sorted(subs)
+
+    @pytest.mark.parametrize("n, k", [
+        (2.5, 2), (True, 1), ("3", 1), (-1, 0), (65, 0),
+        (3, 1.5), (3, True), (3, "1"), (3, None)])
+    def test_rejects_bad_n_or_k(self, n, k):
+        with pytest.raises(GraphError):
+            k_subsets(n, k)
+
+
+@pytest.mark.parametrize("make", [
+    Permutation.identity, OrderedPartition.unit, all_nonisomorphic])
+@pytest.mark.parametrize("n", [2.0, True, "2", None, -1, 65])
+def test_entry_points_check_vertex_count(make, n):
+    with pytest.raises(GraphError):
+        make(n)
 
 
 class TestOrderedPartition:
