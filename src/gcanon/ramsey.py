@@ -2,6 +2,10 @@
 pipeline, and the constrain-generate-reduce pipeline over a CNF encoding
 with lexicographic symmetry breaking; both can report levels to a Stats sink.
 
+Generate-test-reduce canonizes a Ramsey child only when its new vertex has
+maximum degree.  Every level is complete and the property is hereditary,
+so each class still arises: delete a vertex of maximum degree.
+
 Convention (matching the generate-side code): an edge is color 1.  A graph
 is a Ramsey (s,t;n) coloring when no s vertices are pairwise non-adjacent
 (independent set) and no t vertices are pairwise adjacent (clique).
@@ -109,11 +113,26 @@ def _extension_keep(s: int, t: int):
     return keep
 
 
+def _new_vertex_max_degree(h: Graph) -> bool:
+    """Is the degree of h's new (last) vertex the maximum degree of h?"""
+    rows = h.rows
+    return max(map(int.bit_count, rows)) == rows[-1].bit_count()
+
+
 def gen_ramsey_gt(inst: RamseyInstance, *, canonize: bool = True,
                   ramsey_filter: bool = True,
                   stats: Optional[Stats] = None) -> list[Graph]:
     """Generate-test-reduce: grow from the empty graph one vertex at a time,
     keeping Ramsey extensions and reducing to canonical representatives.
+
+    Only a child whose new vertex has maximum degree is canonized, as in
+    step 1 of McKay's canonical deletion; the dedup stays.  No class is
+    lost, because each level is complete: a graph G of the next level and
+    a vertex v of maximum degree give G - v, of this level by heredity,
+    and the extension of its representative by v's neighbourhood is a copy
+    of G whose new vertex has maximum degree.  The rule needs complete
+    levels, which extend_and_reduce does not assume of its input, so it
+    lives here.
 
     The two keyword flags disable the reduce and test steps (then labeled
     solutions, all non-isomorphic graphs, or all labeled graphs come out).
@@ -123,7 +142,9 @@ def gen_ramsey_gt(inst: RamseyInstance, *, canonize: bool = True,
     for i in range(inst.n):
         keep = _extension_keep(inst.s, inst.t) if ramsey_filter else None
         if canonize:
-            acc = extend_and_reduce(acc, keep, stats=stats)
+            def accept(h):
+                return (keep is None or keep(h)) and _new_vertex_max_degree(h)
+            acc = extend_and_reduce(acc, accept, stats=stats)
         else:
             acc = sort_canonical(h for g in acc for h in extensions(g)
                                  if keep is None or keep(h))

@@ -93,6 +93,11 @@ NONISO_PAIR_B = [
 # 5-clique, for n = 1..14.
 R35_CLASS_COUNTS = [1, 2, 3, 7, 13, 32, 71, 179, 290, 313, 105, 12, 1, 0]
 
+# Published (3,6;n) counts for n = 1..9 and (4,4;n) counts for n = 1..8
+# (Radziszowski, "Small Ramsey Numbers", Electron. J. Combin. DS1).
+R36_CLASS_COUNTS = [1, 2, 3, 7, 14, 37, 100, 356, 1407]
+R44_CLASS_COUNTS = [1, 2, 4, 9, 24, 84, 362, 2079]
+
 
 def complete(n):
     return Graph.from_edges(n, [(u, v) for u in range(n)

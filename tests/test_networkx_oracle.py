@@ -8,8 +8,10 @@ from collections import Counter
 import pytest
 
 from gcanon.canon import canonical_form, isomorphic
+from gcanon.generate import Stats
 from gcanon.graph import Graph, Permutation, apply_permutation
 from gcanon.graph6 import encode_graph6
+from gcanon.ramsey import RamseyInstance, gen_ramsey_gt, is_ramsey
 
 from .reference_graphs import gnp
 
@@ -37,6 +39,19 @@ def test_atlas_class_counts(atlas):
                                     for G in atlas})
     counts = [classes[n] for n in range(8)]
     assert counts == [graphs[n] for n in range(8)] == ATLAS_CLASS_COUNTS
+
+
+@pytest.mark.parametrize("s, t", [(3, 4), (4, 3), (3, 5), (4, 4)])
+def test_atlas_ramsey_class_counts(atlas, s, t):
+    # One atlas graph per class, so its Ramsey members count the classes
+    # that each level of generate-test-reduce must hold.
+    classes = Counter(G.number_of_nodes() for G in atlas
+                      if is_ramsey(RamseyInstance(s, t, G.number_of_nodes()),
+                                   from_nx(G)))
+    rows = []
+    gen_ramsey_gt(RamseyInstance(s, t, 7),
+                  stats=Stats(lambda *row: rows.append(row)))
+    assert [r[:2] for r in rows] == [(n, classes[n]) for n in range(1, 8)]
 
 
 def test_graph6_matches_networkx(atlas):

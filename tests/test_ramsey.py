@@ -4,7 +4,12 @@ import math
 import pytest
 
 from gcanon.canon import canonical_form, canonize
-from gcanon.generate import Stats, dedup_canonical
+from gcanon.generate import (
+    Stats,
+    all_nonisomorphic,
+    dedup_canonical,
+    extend_and_reduce,
+)
 from gcanon.graph import Graph, GraphError, extensions
 from gcanon.ramsey import (
     EdgeVarMap,
@@ -19,9 +24,26 @@ from gcanon.ramsey import (
 from gcanon import sat
 
 from .conftest import all_graphs
-from .reference_graphs import CYCLE5_MATRIX, R35_CLASS_COUNTS
+from .reference_graphs import (
+    CYCLE5_MATRIX,
+    R35_CLASS_COUNTS,
+    R36_CLASS_COUNTS,
+    R44_CLASS_COUNTS,
+)
 
 C5 = Graph.from_matrix(CYCLE5_MATRIX)
+
+
+class LevelSink(Stats):
+    """A Stats sink that also keeps every level, the empty graph first."""
+
+    def __init__(self):
+        super().__init__(lambda *row: None)
+        self.levels = [[Graph.empty(0)]]
+
+    def level(self, n, graphs):
+        self.levels.append(graphs)
+        super().level(n, graphs)
 
 
 class TestIsRamsey:
@@ -77,6 +99,32 @@ class TestGenerateTestReduce:
             for g in gen_ramsey_gt(RamseyInstance(s, t, n - 1)):
                 for h in extensions(g):
                     assert keep(h) == is_ramsey(inst, h), (s, t, h)
+
+    @pytest.mark.parametrize("s, t, n", [(3, 3, 6), (3, 4, 9), (4, 3, 9),
+                                         (3, 5, 14), (4, 4, 7), (3, 6, 8)])
+    def test_levels_match_full_dedup(self, s, t, n):
+        # Only children whose new vertex has maximum degree are canonized;
+        # each level must still be the dedup of every Ramsey extension of
+        # the level before it.
+        sink = LevelSink()
+        gen_ramsey_gt(RamseyInstance(s, t, n), stats=sink)
+        keep = _extension_keep(s, t)
+        for prev, level in zip(sink.levels, sink.levels[1:]):
+            assert level == extend_and_reduce(prev, keep), (s, t, len(prev))
+
+    def test_unfiltered_levels_are_all_graphs(self):
+        sink = LevelSink()
+        gen_ramsey_gt(RamseyInstance(3, 3, 7), ramsey_filter=False,
+                      stats=sink)
+        assert sink.levels == [all_nonisomorphic(n) for n in range(8)]
+
+    @pytest.mark.parametrize("s, t, counts", [(3, 6, R36_CLASS_COUNTS),
+                                              (4, 4, R44_CLASS_COUNTS)])
+    def test_published_class_counts(self, s, t, counts):
+        rows = []
+        gen_ramsey_gt(RamseyInstance(s, t, len(counts)),
+                      stats=Stats(lambda *row: rows.append(row)))
+        assert [r[:2] for r in rows] == list(enumerate(counts, start=1))
 
     def test_party_problem_boundary(self):
         assert len(gen_ramsey_gt(RamseyInstance(3, 3, 5))) == 1
