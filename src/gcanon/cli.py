@@ -107,9 +107,20 @@ def _cmd_iso(args) -> int:
     return 0
 
 
+def _stats_sink(args):
+    """The --stats sink, or None: one row per level, printed as it ends, of
+    n, classes, level seconds and canonization seconds, tab-separated."""
+    if not args.stats:
+        return None
+    row = "{}\t{}\t{:.2f}\t{:.2f}".format
+    return generate.Stats(lambda *r: print(row(*r)))
+
+
 def _cmd_geng(args) -> int:
-    graphs = generate.all_nonisomorphic(args.n)
-    sys.stdout.write(graph6.write_graph6_lines(graphs))
+    stats = _stats_sink(args)
+    graphs = generate.all_nonisomorphic(args.n, stats=stats)
+    if stats is None:
+        sys.stdout.write(graph6.write_graph6_lines(graphs))
     return 0
 
 
@@ -126,8 +137,7 @@ def _cmd_ramsey(args) -> int:
         _, formula = ramsey.encode_ramsey(inst)
         sys.stdout.write(sat.to_dimacs(formula))
         return 0
-    row = "{}\t{}\t{:.2f}\t{:.2f}".format
-    stats = generate.Stats(lambda *r: print(row(*r))) if args.stats else None
+    stats = _stats_sink(args)
     if args.mode == "gt":
         graphs = ramsey.gen_ramsey_gt(inst, stats=stats)
     else:
@@ -146,6 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="graph canonization, isomorph-free generation, and "
                     "Ramsey coloring search")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    stats = argparse.ArgumentParser(add_help=False)
+    stats.add_argument("--stats", action="store_true",
+                       help="print per-n count and timing rows instead of "
+                            "graphs")
 
     p = sub.add_parser("convert", help="per-line graph format conversion")
     p.add_argument("--n", type=int, required=True)
@@ -166,20 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph2")
     p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("geng", help="all non-isomorphic graphs on N vertices")
+    p = sub.add_parser("geng", parents=[stats],
+                       help="all non-isomorphic graphs on N vertices")
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_geng)
 
     p = sub.add_parser("shortg", help="remove isomorphic duplicates")
     p.set_defaults(func=_cmd_shortg)
 
-    p = sub.add_parser("ramsey", help="Ramsey coloring pipelines")
+    p = sub.add_parser("ramsey", parents=[stats],
+                       help="Ramsey coloring pipelines")
     p.add_argument("mode", choices=["gt", "cg", "cnf"])
     p.add_argument("s", type=int)
     p.add_argument("t", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--stats", action="store_true",
-                   help="print per-n count and timing rows instead of graphs")
     p.set_defaults(func=_cmd_ramsey)
     return parser
 

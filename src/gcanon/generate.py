@@ -67,16 +67,18 @@ def extend_and_reduce(graphs: Iterable[Graph],
                           for h in extensions(g) if keep is None or keep(h))
 
 
-def all_nonisomorphic(n: int) -> list[Graph]:
+def all_nonisomorphic(n: int, stats: Optional[Stats] = None) -> list[Graph]:
     """One representative per isomorphism class of n-vertex graphs, sorted
-    by graph6 encoding."""
+    by graph6 encoding.  A stats sink gets one row per vertex count 1..n."""
     _check_vertex_count(n)
     if n > MAX_GENERATE_N:
         raise GraphError(
             f"n={n} beyond the practical generation limit {MAX_GENERATE_N}")
     acc = [Graph.empty(0)]
-    for _ in range(n):
-        acc = extend_and_reduce(acc)
+    for i in range(1, n + 1):
+        acc = extend_and_reduce(acc, stats=stats)
+        if stats is not None:
+            stats.level(i, acc)
     return acc
 
 

@@ -126,24 +126,28 @@ class Graph:
         rows = [0] * n
         try:
             for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                if not (type(u) is int and type(v) is int
+                        and 0 <= u < n and 0 <= v < n):
+                    raise GraphError(
+                        f"edge ({u!r},{v!r}) out of range for n={n}")
                 if u == v:
                     raise GraphError(f"self loop at vertex {u}")
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
         except GraphError:
             raise
-        except (TypeError, ValueError):  # a bad type, or not a pair
+        except (TypeError, ValueError):  # not an iterable of pairs
             raise GraphError("edges are not pairs of int vertices") from None
-        rows = tuple(rows)
-        if not set(map(type, rows)) <= {int}:  # an int-like vertex type
-            raise GraphError("edges are not pairs of int vertices")
         # each edge sets both of its bits: symmetric by construction
-        return Graph._trusted(n, rows)
+        return Graph._trusted(n, tuple(rows))
 
     @staticmethod
     def from_matrix(matrix: Sequence[Sequence[int]]) -> "Graph":
+        """Graph of n rows of n entries, each an int or bool 0 or 1; the
+        matrix and its rows are lists or tuples."""
+        if not isinstance(matrix, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in matrix):
+            raise GraphError("adjacency matrix is not a list of rows")
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise GraphError("adjacency matrix is not square")
@@ -152,7 +156,7 @@ class Graph:
             row = 0
             for v in range(n):
                 x = matrix[u][v]
-                if x not in (0, 1, False, True):
+                if type(x) not in (int, bool) or x not in (0, 1):
                     raise GraphError(f"non-boolean entry at ({u},{v})")
                 if x:
                     row |= 1 << v
@@ -324,12 +328,10 @@ def _from_adj_list(n: int, value) -> Graph:
 def _from_edge_list(n: int, value) -> Graph:
     if not isinstance(value, (list, tuple)):
         raise GraphError("edge list is not a list of vertex pairs")
-    edges = []
     for e in value:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphError(f"edge {e!r} is not a vertex pair")
-        edges.append((_check_vertex(n, e[0]), _check_vertex(n, e[1])))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, value)
 
 
 def graph_convert(n: int, from_fmt: str, to_fmt: str, value):
@@ -345,9 +347,6 @@ def graph_convert(n: int, from_fmt: str, to_fmt: str, value):
     from . import graph6
 
     if from_fmt == ADJ_MATRIX:
-        if not isinstance(value, (list, tuple)) or len(value) != n or not all(
-                isinstance(row, (list, tuple)) for row in value):
-            raise GraphError(f"adjacency matrix is not a list of {n} rows")
         g = Graph.from_matrix(value)
     elif from_fmt == ADJ_LIST:
         g = _from_adj_list(n, value)
@@ -357,9 +356,8 @@ def graph_convert(n: int, from_fmt: str, to_fmt: str, value):
         if not isinstance(value, str):
             raise GraphError("graph6 atom is not a string")
         g = graph6.decode_graph6(value)
-        if g.n != n:
-            raise GraphError(
-                f"graph6 atom encodes {g.n} vertices, expected {n}")
+    if g.n != n:
+        raise GraphError(f"input graph has {g.n} vertices, expected {n}")
 
     if to_fmt == ADJ_MATRIX:
         return g.to_matrix()

@@ -150,6 +150,21 @@ class TestGeneration:
         assert code == 0
         assert len(out.splitlines()) == 34
 
+    def test_geng_stats_rows(self, capsys, monkeypatch):
+        code, out, _ = cli(capsys, monkeypatch, ["geng", "5", "--stats"])
+        assert code == 0
+        rows = [ln.split("\t") for ln in out.splitlines()]
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
+        assert [int(r[1]) for r in rows] == [1, 2, 4, 11, 34]
+        assert all(len(r) == 4 for r in rows)
+
+    @pytest.mark.parametrize("n", ["10", "-1"])
+    def test_geng_stats_out_of_range_exits_1(self, capsys, monkeypatch, n):
+        code, out, err = cli(capsys, monkeypatch, ["geng", n, "--stats"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_shortg_reduces_cycles(self, capsys, monkeypatch):
         stdin = "\n".join(TWELVE_CYCLE_ATOMS) + "\n"
         code, out, _ = cli(capsys, monkeypatch, ["shortg"], stdin=stdin)
@@ -190,21 +205,29 @@ class TestRamsey:
         f = sat.from_dimacs(out)
         assert sat.solve(f) is not None
 
-    def test_gt_stats_rows(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("s, t, classes", [
+        ("3", "3", [1, 2, 2, 3, 1, 0]),
+        ("3", "5", [1, 2, 3, 7, 13, 32])])
+    def test_gt_stats_rows(self, capsys, monkeypatch, s, t, classes):
+        n = str(len(classes))
         code, out, _ = cli(capsys, monkeypatch,
-                           ["ramsey", "gt", "3", "3", "6", "--stats"])
+                           ["ramsey", "gt", s, t, n, "--stats"])
         assert code == 0
         rows = [ln.split("\t") for ln in out.splitlines()]
-        assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5, 6]
-        assert [int(r[1]) for r in rows] == [1, 2, 2, 3, 1, 0]
+        assert [int(r[0]) for r in rows] == list(range(1, len(classes) + 1))
+        assert [int(r[1]) for r in rows] == classes
         assert all(len(r) == 4 for r in rows)
 
-    def test_cg_stats_rows(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("s, t, classes", [
+        ("3", "3", [1, 2, 2, 3, 1]),
+        ("3", "5", [1, 2, 3, 7, 13])])
+    def test_cg_stats_rows(self, capsys, monkeypatch, s, t, classes):
+        n = str(len(classes))
         code, out, _ = cli(capsys, monkeypatch,
-                           ["ramsey", "cg", "3", "3", "5", "--stats"])
+                           ["ramsey", "cg", s, t, n, "--stats"])
         assert code == 0
         rows = [ln.split("\t") for ln in out.splitlines()]
-        assert [int(r[1]) for r in rows] == [1, 2, 2, 3, 1]
+        assert [int(r[1]) for r in rows] == classes
 
     def test_invalid_instance_exits_1(self, capsys, monkeypatch):
         code, _, err = cli(capsys, monkeypatch,

@@ -4,6 +4,7 @@ import pytest
 
 from gcanon.canon import canonical_form
 from gcanon.generate import (
+    Stats,
     all_nonisomorphic,
     dedup_canonical,
     extend_and_reduce,
@@ -75,6 +76,14 @@ class TestAllNonisomorphic:
     def test_beyond_limit(self):
         with pytest.raises(GraphError):
             all_nonisomorphic(10)
+
+    def test_stats_rows_match_direct_run(self):
+        rows = []
+        out = all_nonisomorphic(5, Stats(lambda *row: rows.append(row)))
+        assert [(n, classes) for n, classes, _, _ in rows] == [
+            (1, 1), (2, 2), (3, 4), (4, 11), (5, 34)]
+        assert all(0 <= canon_s <= s for _, _, s, canon_s in rows)
+        assert out == all_nonisomorphic(5)
 
 
 class TestDedupCanonical:

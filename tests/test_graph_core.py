@@ -74,10 +74,17 @@ class TestGraphValue:
 
     @pytest.mark.parametrize("n, edges", [
         (3, [(0, 1.0)]), (3, [(0, "1")]), (3, [(0, None)]), (3.0, [(0, 1)]),
-        (True, []), (3, [(0, 1, 2)]), (3, [(0,)]), (3, None)])
+        (True, []), (3, [(0, 1, 2)]), (3, [(0,)]), (3, None),
+        (3, [(True, 2)]), (3, [(2, True)])])
     def test_from_edges_rejects_non_int_values(self, n, edges):
         with pytest.raises(GraphError):
             Graph.from_edges(n, edges)
+
+    @pytest.mark.parametrize("matrix", [
+        5, None, [[0, 1], 5], [[0, 1.0], [1.0, 0]]])
+    def test_from_matrix_rejects_malformed(self, matrix):
+        with pytest.raises(GraphError):
+            Graph.from_matrix(matrix)
 
     @pytest.mark.parametrize("n, matrix", [
         (2.0, [[0, 0], [0, 0]]), ("2", [[0, 0], [0, 0]]), (True, [[0]])])
@@ -140,6 +147,7 @@ class TestConvert:
         (ADJ_MATRIX, None),
         (GRAPH6_ATOM, 5),
         (GRAPH6_ATOM, ["A_"]),
+        (ADJ_MATRIX, [[0, 1.0], [1.0, 0]]),
     ])
     def test_mistyped_value_is_graph_error(self, fmt, value):
         with pytest.raises(GraphError):
