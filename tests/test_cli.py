@@ -205,29 +205,32 @@ class TestRamsey:
         f = sat.from_dimacs(out)
         assert sat.solve(f) is not None
 
-    @pytest.mark.parametrize("s, t, classes", [
-        ("3", "3", [1, 2, 2, 3, 1, 0]),
-        ("3", "5", [1, 2, 3, 7, 13, 32])])
-    def test_gt_stats_rows(self, capsys, monkeypatch, s, t, classes):
-        n = str(len(classes))
+    def test_gt_stats_rows(self, capsys, monkeypatch):
         code, out, _ = cli(capsys, monkeypatch,
-                           ["ramsey", "gt", s, t, n, "--stats"])
+                           ["ramsey", "gt", "3", "3", "6", "--stats"])
         assert code == 0
         rows = [ln.split("\t") for ln in out.splitlines()]
-        assert [int(r[0]) for r in rows] == list(range(1, len(classes) + 1))
-        assert [int(r[1]) for r in rows] == classes
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5, 6]
+        assert [int(r[1]) for r in rows] == [1, 2, 2, 3, 1, 0]
         assert all(len(r) == 4 for r in rows)
 
-    @pytest.mark.parametrize("s, t, classes", [
-        ("3", "3", [1, 2, 2, 3, 1]),
-        ("3", "5", [1, 2, 3, 7, 13])])
-    def test_cg_stats_rows(self, capsys, monkeypatch, s, t, classes):
-        n = str(len(classes))
+    def test_cg_stats_rows(self, capsys, monkeypatch):
         code, out, _ = cli(capsys, monkeypatch,
-                           ["ramsey", "cg", s, t, n, "--stats"])
+                           ["ramsey", "cg", "3", "3", "5", "--stats"])
         assert code == 0
         rows = [ln.split("\t") for ln in out.splitlines()]
-        assert [int(r[1]) for r in rows] == classes
+        assert [int(r[1]) for r in rows] == [1, 2, 2, 3, 1]
+
+    def test_3_5_stats_tables(self, capsys, monkeypatch):
+        # The (3,5;n) class-count tables of both pipelines.
+        _, gt_out, _ = cli(capsys, monkeypatch,
+                           ["ramsey", "gt", "3", "5", "6", "--stats"])
+        code, cg_out, _ = cli(capsys, monkeypatch,
+                              ["ramsey", "cg", "3", "5", "5", "--stats"])
+        assert code == 0
+        tables = [[int(ln.split("\t")[1]) for ln in out.splitlines()]
+                  for out in (gt_out, cg_out)]
+        assert tables == [[1, 2, 3, 7, 13, 32], [1, 2, 3, 7, 13]]
 
     def test_invalid_instance_exits_1(self, capsys, monkeypatch):
         code, _, err = cli(capsys, monkeypatch,
