@@ -240,18 +240,23 @@ class _CanonSearch:
             self.best_labeling = labeling
 
 
-def _canonize_rows(rows, n, coloring_cells=None):
-    """Core search; returns (search, pos, canonic_rows, root_cells): the
-    search holds best_labeling, generators and group_size; v goes to pos[v]."""
-    search = _CanonSearch(rows, n)
+def _root_cells(rows, n, coloring_cells=None):
+    """Equitable refinement of the coloring, the whole vertex set if none."""
     if coloring_cells is None:
         coloring_cells = [range(n)] if n else []
-    root = _refine_cells(rows, coloring_cells)
+    return _refine_cells(rows, coloring_cells)
+
+
+def _search_from(rows, n, root):
+    """Core search from the root cells; returns (search, pos, canonic_rows):
+    the search holds best_labeling, generators and group_size; v goes to
+    pos[v]."""
+    search = _CanonSearch(rows, n)
     search._descend(root, [])
     pos = [0] * n
     for i, v in enumerate(search.best_labeling):
         pos[v] = i
-    return search, pos, _relabel_rows(rows, pos), root
+    return search, pos, _relabel_rows(rows, pos)
 
 
 def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
@@ -265,7 +270,8 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
     if coloring is not None and coloring.n != g.n:
         raise GraphError("coloring does not cover the graph's vertices")
     cells = coloring.cells if coloring is not None else None
-    search, pos, crows, root = _canonize_rows(g.rows, g.n, cells)
+    root = _root_cells(g.rows, g.n, cells)
+    search, pos, crows = _search_from(g.rows, g.n, root)
     orbits = list(range(g.n))
     for gen in search.generators:
         _absorb(orbits, gen)
@@ -279,10 +285,25 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
     )
 
 
-def canonical_form(g: Graph) -> Graph:
-    """Canonical representative of g's isomorphism class."""
-    _, _, crows, _ = _canonize_rows(g.rows, g.n)
-    return Graph._trusted(g.n, crows)
+def canonical_form(g: Graph, memo: Optional[dict] = None) -> Graph:
+    """Canonical representative of g's isomorphism class.
+
+    A memo dict, owned by the caller for one batch of inputs, skips the
+    search for an input already seen up to the root refinement.  Its key
+    is n and the graph6-order bits of g relabeled in root-cell order: two
+    inputs with the same key are both isomorphic to that one labelled
+    graph, so they share the canonical form stored under it.
+    """
+    rows, n = g.rows, g.n
+    root = _root_cells(rows, n)
+    if memo is None:
+        return Graph._trusted(n, _search_from(rows, n, root)[2])
+    key = (n, _upper_bits(rows, [v for cell in root for v in cell]))
+    canonic = memo.get(key)
+    if canonic is None:
+        canonic = memo[key] = Graph._trusted(
+            n, _search_from(rows, n, root)[2])
+    return canonic
 
 
 def isomorphic(n: int, g1: Graph, g2: Graph,

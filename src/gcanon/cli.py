@@ -150,8 +150,21 @@ def _cmd_ramsey(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands a usage error, in any subcommand (argparse builds them with
+    the parent's class), to run, which prints one error: line and exits 1.
+    --help still exits 0."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcanon",
         description="graph canonization, isomorph-free generation, and "
                     "Ramsey coloring search")
@@ -199,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (GraphError, sat.SatError) as exc:
+    except (_UsageError, GraphError, sat.SatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

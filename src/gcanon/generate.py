@@ -4,6 +4,9 @@ Native analogs of the gtools programs geng (all non-isomorphic graphs on n
 vertices) and shortg (remove isomorphic duplicates), built on the
 extend-and-reduce loop: extend every canonical graph by one vertex in all
 2^n ways, filter, canonize, sort, dedup; a Stats sink times each level.
+Each reduce step hands canonical_form a memo of its own, so children that
+agree up to the root refinement are searched once, and no state outlives
+the call.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ class Stats:
         self._canon_seconds = 0.0
         self._start = time.perf_counter()
 
-    def canonical_form(self, g: Graph) -> Graph:
+    def canonical_form(self, g: Graph, memo: Optional[dict] = None) -> Graph:
         t0 = time.perf_counter()
-        c = canonical_form(g)
+        c = canonical_form(g, memo)
         self._canon_seconds += time.perf_counter() - t0
         return c
 
@@ -60,10 +63,11 @@ def extend_and_reduce(graphs: Iterable[Graph],
     """One extend-test-reduce step: all one-vertex extensions of the given
     graphs, filtered by keep, canonized, sorted, deduplicated.  They may be
     any graphs: each child is canonized, so the output classes depend only
-    on the input classes.  A stats sink canonizes; the caller, which knows
-    n, closes the level."""
+    on the input classes; one memo serves the step's children.  A stats
+    sink canonizes; the caller, which knows n, closes the level."""
     canon = canonical_form if stats is None else stats.canonical_form
-    return sort_canonical(canon(h) for g in graphs
+    memo = {}
+    return sort_canonical(canon(h, memo) for g in graphs
                           for h in extensions(g) if keep is None or keep(h))
 
 
@@ -88,4 +92,5 @@ def dedup_canonical(graphs: Iterable[Graph]) -> list[Graph]:
     graphs = list(graphs)
     if len({g.n for g in graphs}) > 1:
         raise GraphError("mixed vertex counts in dedup input")
-    return sort_canonical(canonical_form(g) for g in graphs)
+    memo = {}
+    return sort_canonical(canonical_form(g, memo) for g in graphs)

@@ -225,7 +225,8 @@ def gen_ramsey_cg(inst: RamseyInstance, *,
     gen_ramsey_gt as a set.  A stats sink gets one row, for n."""
     canon = canonical_form if stats is None else stats.canonical_form
     evm, formula = encode_ramsey(inst)
-    graphs = sort_canonical(canon(decode_model(evm, m))
+    memo = {}
+    graphs = sort_canonical(canon(decode_model(evm, m), memo)
                             for m in sat.solve_all(formula, evm.var.values()))
     if stats is not None:
         stats.level(inst.n, graphs)

@@ -22,7 +22,9 @@ from gcanon.graph import (
     OrderedPartition,
     Permutation,
     apply_permutation,
+    extensions,
 )
+from gcanon.ramsey import RamseyInstance, gen_ramsey_gt
 
 from .conftest import all_graphs, brute_force_automorphisms, \
     brute_force_isomorphism
@@ -460,7 +462,9 @@ def test_search_tree_pin(monkeypatch):
     # Every 6-vertex class and every large graph, in one seeded relabelling,
     # plain and with a seeded 2-cell coloring.  The node count pins which
     # children orbit pruning and jump-back skip; the group sizes pin the
-    # orbit counts on the first path.
+    # orbit counts on the first path.  The inputs are built before the
+    # count starts, so only the canonize trees are counted.
+    graphs = [*all_nonisomorphic(6), *(g for _, g, _ in large_graphs())]
     nodes = 0
     descend = _CanonSearch._descend
 
@@ -472,7 +476,7 @@ def test_search_tree_pin(monkeypatch):
     monkeypatch.setattr(_CanonSearch, "_descend", counting_descend)
     rng = random.Random(53)
     sizes = []
-    for g in [*all_nonisomorphic(6), *(g for _, g, _ in large_graphs())]:
+    for g in graphs:
         g = relabelled(g, rng)
         first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
         cells = (tuple(first), tuple(v for v in range(g.n) if v not in first))
@@ -480,9 +484,51 @@ def test_search_tree_pin(monkeypatch):
                 initial_coloring=OrderedPartition(cells))):
             sizes.append(canonize(g, opts).group_size)
     digest = hashlib.sha256(repr(sizes).encode()).hexdigest()
-    assert (len(sizes), nodes) == (344, 22321)
+    assert (len(sizes), nodes) == (344, 15570)
     assert digest == (
         "a6bc3982aba0514ac11224b918733c4460e2c12fb5fb0df4f15399a3e3f19200")
+
+
+def test_memo_gives_the_plain_canonical_form():
+    # One memo shared by every child of the 6-vertex classes and by two
+    # seeded relabelings of each (3,5;9) class, as a reduce step shares it.
+    rng = random.Random(61)
+    inputs = [h for g in all_nonisomorphic(6) for h in extensions(g)]
+    inputs += [relabelled(g, rng)
+               for g in gen_ramsey_gt(RamseyInstance(3, 5, 9)) for _ in "ab"]
+    memo = {}
+    for g in inputs:
+        assert canonical_form(g, memo) == canonical_form(g)
+    assert len(memo) < len(inputs)
+
+
+def test_memo_key_carries_the_order():
+    # Both graphs have root-order bits 1: K2's one pair, and the pair
+    # {1,2} last of the 3-vertex graph's three.
+    k2 = Graph.from_edges(2, [(0, 1)])
+    p3 = Graph.from_edges(3, [(1, 2)])
+    memo = {}
+    for g in (k2, p3, k2, p3):
+        assert canonical_form(g, memo) == canonical_form(g)
+    assert len(memo) == 2
+
+
+def test_memo_search_pin(monkeypatch):
+    # all_nonisomorphic(7) searches only children whose root-order bits
+    # are new to their reduce step; canonizing every child took 11,291
+    # searches and 52,296 nodes.
+    nodes = searches = 0
+    descend = _CanonSearch._descend
+
+    def counting_descend(self, cells, path):
+        nonlocal nodes, searches
+        nodes += 1
+        searches += not path
+        return descend(self, cells, path)
+
+    monkeypatch.setattr(_CanonSearch, "_descend", counting_descend)
+    assert len(all_nonisomorphic(7)) == 1044
+    assert (searches, nodes) == (1280, 7532)
 
 
 def test_results_are_valid_values():

@@ -250,3 +250,23 @@ def test_stream_header_line_is_skipped(capsys, monkeypatch, argv):
     headed = cli(capsys, monkeypatch, argv, stdin=STREAM_HEADER + "\n" + body)
     assert plain[0] == 0 and plain[1]
     assert headed == plain
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["geng", "x"], "argument n: invalid int value: 'x'"),
+    (["geng", "2.5"], "argument n: invalid int value: '2.5'"),
+    (["nosuch"], "argument cmd: invalid choice: 'nosuch'"),
+    (["ramsey", "gt", "3", "5"], "the following arguments are required: n"),
+], ids=["geng-x", "geng-float", "no-such-command", "ramsey-missing-n"])
+def test_usage_error_is_one_error_line(capsys, monkeypatch, argv, message):
+    code, out, err = cli(capsys, monkeypatch, argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " + message)
+
+
+def test_help_still_exits_0(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        cli(capsys, monkeypatch, ["geng", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gcanon geng")
