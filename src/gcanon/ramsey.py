@@ -6,6 +6,13 @@ Generate-test-reduce canonizes a Ramsey child only when its new vertex has
 maximum degree.  Every level is complete and the property is hereditary,
 so each class still arises: delete a vertex of maximum degree.
 
+Constrain-generate-reduce canonizes only the models that may be the least
+labelling of their class, upper triangle read row by row, non-edge first:
+each row k has its edges at the top of the cells that rows 0..k-1 cannot
+tell apart, and no cell-mate of k has smaller per-cell neighbour counts.
+The least labelling meets both and satisfies the row-lex clauses, so it
+is a model and every class still arises.
+
 Convention (matching the generate-side code): an edge is color 1.  A graph
 is a Ramsey (s,t;n) coloring when no s vertices are pairwise non-adjacent
 (independent set) and no t vertices are pairwise adjacent (clique).
@@ -218,16 +225,64 @@ def decode_model(evm: EdgeVarMap, model: sat.Model) -> Graph:
     return Graph._trusted(evm.n, tuple(rows))
 
 
+def _may_be_lex_least(g: Graph) -> bool:
+    """Two necessary conditions for g to be the least labelling of its class
+    in the order of the upper triangle read row by row, non-edge first.
+
+    Position k = 0..n-2 is checked against the cells of positions >= k that
+    rows 0..k-1 cannot tell apart, ascending intervals.  Swapping k with a
+    cell-mate, or reordering a cell, leaves rows 0..k-1 as they are, so
+    the least labelling needs (1) no vertex of k's cell with a
+    lexicographically smaller vector of per-cell neighbour counts than k,
+    and (2) row k's edges at the highest positions of each cell."""
+    rows, n = g.rows, g.n
+    cells = [(1 << n) - 1]
+    for k in range(n - 1):
+        if len(cells) == n - k:
+            return True  # every cell is one vertex: nothing can fail now
+        row = rows[k]
+        mates = cells[0] & ~(1 << k)
+        if mates:
+            counts = [(row & c).bit_count() for c in cells]
+            while mates:
+                v = mates & -mates
+                mates ^= v
+                vrow = rows[v.bit_length() - 1]
+                if [(vrow & c).bit_count() for c in cells] < counts:
+                    return False
+        cells[0] &= ~(1 << k)
+        split = []
+        for c in cells:
+            edges = row & c
+            if edges != c & -(edges & -edges):
+                return False
+            if edges != c:
+                split.append(c ^ edges)
+            if edges:
+                split.append(edges)
+        cells = split
+    return True
+
+
 def gen_ramsey_cg(inst: RamseyInstance, *,
                   stats: Optional[Stats] = None) -> list[Graph]:
     """Constrain-generate-reduce: encode, enumerate all models projected on
     the edge variables, decode, canonize, sort, dedup.  Agrees with
-    gen_ramsey_gt as a set.  A stats sink gets one row, for n."""
+    gen_ramsey_gt as a set.  A stats sink gets one row, for n.
+
+    Only a model that passes _may_be_lex_least is canonized: row k's edges
+    at the top of each cell of positions >= k that rows 0..k-1 cannot tell
+    apart, and no cell-mate of k with smaller per-cell neighbour counts.
+    No class is lost: the least labelling x of a class meets both, and it
+    is a model, since the row-lex clauses say x <=lex (i j)x for every
+    transposition (i j), which the least x satisfies."""
     canon = canonical_form if stats is None else stats.canonical_form
     evm, formula = encode_ramsey(inst)
     memo = {}
-    graphs = sort_canonical(canon(decode_model(evm, m), memo)
-                            for m in sat.solve_all(formula, evm.var.values()))
+    decoded = (decode_model(evm, m)
+               for m in sat.solve_all(formula, evm.var.values()))
+    graphs = sort_canonical(canon(g, memo) for g in decoded
+                            if _may_be_lex_least(g))
     if stats is not None:
         stats.level(inst.n, graphs)
     return graphs

@@ -10,9 +10,9 @@ from collections import Counter
 
 import pytest
 
-from gcanon import generate, ramsey
+from gcanon import generate, ramsey, sat
 from gcanon.generate import all_nonisomorphic
-from gcanon.ramsey import RamseyInstance, gen_ramsey_gt
+from gcanon.ramsey import RamseyInstance, gen_ramsey_cg, gen_ramsey_gt
 
 
 @pytest.fixture
@@ -42,6 +42,8 @@ def calls(monkeypatch):
                             items_counted("extensions", module.extensions))
         monkeypatch.setattr(module, "canonical_form",
                             counted("canonical_form", module.canonical_form))
+    monkeypatch.setattr(sat, "solve_all",
+                        items_counted("models", sat.solve_all))
     monkeypatch.setattr(ramsey, "_extension_keep",
                         factory_counted("keep", ramsey._extension_keep))
     return seen
@@ -63,3 +65,13 @@ def test_35_13_canonizes_max_degree_children(calls):
     # Canonizing every kept child took 10,089 calls.
     assert len(gen_ramsey_gt(RamseyInstance(3, 5, 13))) == 1
     assert calls["canonical_form"] == 3072
+
+
+@pytest.mark.parametrize("n, classes, models, canonized", [
+    (10, 313, 7319, 1561), (11, 105, 3806, 891)])
+def test_35_cg_canonizes_possible_lex_least_models(calls, n, classes,
+                                                     models, canonized):
+    # Canonizing every model took one call per model.
+    assert len(gen_ramsey_cg(RamseyInstance(3, 5, n))) == classes
+    assert calls["models"] == models
+    assert calls["canonical_form"] == canonized

@@ -10,11 +10,18 @@ from gcanon.generate import (
     dedup_canonical,
     extend_and_reduce,
 )
-from gcanon.graph import Graph, GraphError, extensions
+from gcanon.graph import (
+    Graph,
+    GraphError,
+    Permutation,
+    apply_permutation,
+    extensions,
+)
 from gcanon.ramsey import (
     EdgeVarMap,
     RamseyInstance,
     _extension_keep,
+    _may_be_lex_least,
     decode_model,
     encode_ramsey,
     gen_ramsey_cg,
@@ -249,6 +256,34 @@ class TestConstrainGenerateReduce:
         assert out == gen_ramsey_cg(inst)
 
 
+def _least_labelling(g):
+    """The least labelling of g's class, upper triangle read row by row,
+    non-edge first, over all n! relabelings."""
+    return min((apply_permutation(g, Permutation(p))
+                for p in itertools.permutations(range(g.n))),
+               key=lambda h: [h.has_edge(u, v) for u in range(h.n)
+                              for v in range(u + 1, h.n)])
+
+
+class TestLexLeast:
+    @pytest.mark.parametrize("n", range(7))
+    def test_least_labelling_of_every_class_passes(self, n):
+        for g in all_nonisomorphic(n):
+            assert _may_be_lex_least(_least_labelling(g)), g
+
+    def test_rejects_row_not_sorted_within_a_cell(self):
+        # 2K2 with every degree 1, so only the order within a cell fails:
+        # row 0 is (1, 0, 0) on the one cell {1, 2, 3}.  SAT models never
+        # fail this way, since the row-lex clauses already forbid it.
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert not _may_be_lex_least(g)
+        assert _may_be_lex_least(_least_labelling(g))
+
+    def test_rejects_cell_mate_with_smaller_counts(self):
+        # row 0 is (0, 1), sorted, but vertex 1 has degree 0 < deg(0)
+        assert not _may_be_lex_least(Graph.from_edges(3, [(0, 2)]))
+
+
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_33_pipelines_agree(self, n):
@@ -262,4 +297,16 @@ class TestPipelineEquivalence:
 
     def test_34_pipelines_agree(self):
         inst = RamseyInstance(3, 4, 6)
+        assert gen_ramsey_cg(inst) == gen_ramsey_gt(inst)
+
+    @pytest.mark.parametrize("s, t", itertools.product(range(1, 5), repeat=2))
+    def test_small_instances_agree(self, s, t):
+        # n = 0 and 1, and the unsatisfiable s = 1 or t = 1 corner
+        for n in range(8):
+            inst = RamseyInstance(s, t, n)
+            assert gen_ramsey_cg(inst) == gen_ramsey_gt(inst), inst
+
+    @pytest.mark.parametrize("s, t, n", [(4, 4, 8), (3, 6, 8)])
+    def test_eight_vertex_pipelines_agree(self, s, t, n):
+        inst = RamseyInstance(s, t, n)
         assert gen_ramsey_cg(inst) == gen_ramsey_gt(inst)
