@@ -51,12 +51,12 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonOptions:
     initial_coloring: Optional[OrderedPartition] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalResult:
     """Full canonization output.
 

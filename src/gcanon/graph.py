@@ -41,7 +41,7 @@ def _check_vertex_count(n: int) -> None:
             f"n={n} exceeds vertex cap {DEFAULT_VERTEX_CAP}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1, one bitmask row per vertex."""
 
@@ -73,12 +73,13 @@ class Graph:
 
     @staticmethod
     def _trusted(n: int, rows: tuple[int, ...]) -> "Graph":
-        """Graph from rows derived from a valid graph: no __post_init__,
-        whose checks cost more than the construction on the hot path.
-        Writing through __dict__ instead costs a dict (64 bytes) a graph."""
+        """Graph from rows derived from a valid graph, without the checks
+        of __post_init__, which cost more than the construction on the hot
+        path.  The two slots are set through their descriptors, as
+        extensions does for each child."""
         g = object.__new__(Graph)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "rows", rows)
+        _set_n(g, n)
+        _set_rows(g, rows)
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -164,6 +165,10 @@ class Graph:
         return Graph(n, tuple(rows))
 
 
+_set_n = Graph.n.__set__
+_set_rows = Graph.rows.__set__
+
+
 def _derived(cls, value):
     """Unchecked cls(value), for a value derived from checked ones."""
     obj = object.__new__(cls)
@@ -171,7 +176,7 @@ def _derived(cls, value):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """Bijection on [0,n) in one-line notation: map[i] is the image of i."""
 
@@ -207,7 +212,7 @@ class Permutation:
         return _derived(Permutation, tuple(range(n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedPartition:
     """Ordered sequence of disjoint non-empty vertex cells covering [0,n)."""
 
@@ -288,13 +293,16 @@ def extensions(g: Graph) -> Iterator[Graph]:
     for r in g.rows[:w]:
         low = [lo + (r,) for lo in low] + [lo + (r | newbit,) for lo in low]
     high = g.rows[w:]
-    trusted = Graph._trusted
+    new, set_n, set_rows = object.__new__, _set_n, _set_rows
     for block in range(1 << (n - w)):
         rest = tuple(r | newbit if block >> j & 1 else r
                      for j, r in enumerate(high))
         base = block << w
         for i, lo in enumerate(low):
-            yield trusted(n1, lo + rest + (base | i,))
+            h = new(Graph)  # Graph._trusted, without a frame per child
+            set_n(h, n1)
+            set_rows(h, lo + rest + (base | i,))
+            yield h
 
 
 def k_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:

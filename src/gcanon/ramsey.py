@@ -48,10 +48,18 @@ class RamseyInstance:
 class EdgeVarMap:
     """Bijection between vertex pairs {u,v}, u < v, and CNF variables
     1..C(n,2), pairs in lexicographic order.  The diagonal is constant
-    false."""
+    false.  pairs[var - 1] is the pair of variable var."""
 
     n: int
     var: dict[tuple[int, int], int] = field(compare=False)
+    pairs: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pairs = sorted(self.var, key=self.var.__getitem__)
+        if [self.var[p] for p in pairs] != list(range(1, len(pairs) + 1)):
+            raise GraphError("edge variables are not 1..len(var)")
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         u, v = pair
@@ -149,8 +157,11 @@ def gen_ramsey_gt(inst: RamseyInstance, *, canonize: bool = True,
     for i in range(inst.n):
         keep = _extension_keep(inst.s, inst.t) if ramsey_filter else None
         if canonize:
-            def accept(h):
-                return (keep is None or keep(h)) and _new_vertex_max_degree(h)
+            if keep is None:
+                accept = _new_vertex_max_degree
+            else:
+                def accept(h):
+                    return keep(h) and _new_vertex_max_degree(h)
             acc = extend_and_reduce(acc, accept, stats=stats)
         else:
             acc = sort_canonical(h for g in acc for h in extensions(g)
@@ -217,11 +228,9 @@ def encode_ramsey(inst: RamseyInstance) -> tuple[EdgeVarMap, sat.CnfFormula]:
 def decode_model(evm: EdgeVarMap, model: sat.Model) -> Graph:
     """Graph with edge {u,v} present iff its variable is true."""
     rows = [0] * evm.n
-    values = model.values
-    for (u, v), var in evm.var.items():
-        if values[var - 1]:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+    for u, v in itertools.compress(evm.pairs, model.values):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     return Graph._trusted(evm.n, tuple(rows))
 
 

@@ -20,7 +20,7 @@ class SatError(ValueError):
     """Malformed formula or DIMACS text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CnfFormula:
     """Clauses over variables 1..num_vars as tuples of DIMACS literals.
 
@@ -61,7 +61,7 @@ class CnfFormula:
         return CnfFormula(num_vars, tuple(int_clauses))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Model:
     """A satisfying assignment over every variable: m[v] is values[v-1],
     held as one 0/1 byte per variable."""
