@@ -55,6 +55,12 @@ from .graph import (
 class CanonOptions:
     initial_coloring: Optional[OrderedPartition] = None
 
+    def __post_init__(self):
+        coloring = self.initial_coloring
+        if coloring is not None and not isinstance(coloring, OrderedPartition):
+            raise GraphError(
+                f"initial coloring {coloring!r} is not an OrderedPartition")
+
 
 @dataclass(frozen=True, slots=True)
 class CanonicalResult:

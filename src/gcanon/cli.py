@@ -9,7 +9,7 @@ import json
 import sys
 
 from . import generate, graph6, ramsey, sat
-from .canon import canonical_form, canonize, isomorphic
+from .canon import canonize, isomorphic
 from .graph import (
     ADJ_LIST,
     ADJ_MATRIX,

@@ -46,33 +46,29 @@ class RamseyInstance:
 
 @dataclass(frozen=True)
 class EdgeVarMap:
-    """Bijection between vertex pairs {u,v}, u < v, and CNF variables
-    1..C(n,2), pairs in lexicographic order.  The diagonal is constant
-    false.  pairs[var - 1] is the pair of variable var."""
+    """Bijection between vertex pairs {u,v} and CNF variables 1..C(n,2):
+    variable i is pairs[i - 1], the pairs (u, v), u < v, in lexicographic
+    order, so the first C(n,2) bytes of a model are the upper triangle read
+    row by row.  The diagonal is constant false."""
 
     n: int
-    var: dict[tuple[int, int], int] = field(compare=False)
     pairs: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pairs = sorted(self.var, key=self.var.__getitem__)
-        if [self.var[p] for p in pairs] != list(range(1, len(pairs) + 1)):
-            raise GraphError("edge variables are not 1..len(var)")
-        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(
+            self, "pairs", tuple(itertools.combinations(range(self.n), 2)))
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
-        u, v = pair
-        return self.var[(u, v) if u < v else (v, u)]
+        u, v = sorted(pair)
+        if not 0 <= u < v < self.n:
+            raise KeyError(pair)
+        # rows 0..u-1 hold (n-1) + ... + (n-u) pairs; then v is at v - u
+        return u * (2 * self.n - u - 1) // 2 + v - u
 
     @property
     def num_edge_vars(self) -> int:
         return self.n * (self.n - 1) // 2
-
-    @staticmethod
-    def for_vertices(n: int) -> "EdgeVarMap":
-        pairs = itertools.combinations(range(n), 2)
-        return EdgeVarMap(n, {p: i + 1 for i, p in enumerate(pairs)})
 
 
 def is_ramsey(inst: RamseyInstance, g: Graph) -> bool:
@@ -205,7 +201,7 @@ def encode_ramsey(inst: RamseyInstance) -> tuple[EdgeVarMap, sat.CnfFormula]:
     least one non-edge in every t-subset.
     """
     n, s, t = inst.n, inst.s, inst.t
-    evm = EdgeVarMap.for_vertices(n)
+    evm = EdgeVarMap(n)
     clauses: list[list[int]] = []
     next_var = evm.num_edge_vars
     for i in range(n):
@@ -288,8 +284,8 @@ def gen_ramsey_cg(inst: RamseyInstance, *,
     canon = canonical_form if stats is None else stats.canonical_form
     evm, formula = encode_ramsey(inst)
     memo = {}
-    decoded = (decode_model(evm, m)
-               for m in sat.solve_all(formula, evm.var.values()))
+    models = sat.solve_all(formula, range(1, evm.num_edge_vars + 1))
+    decoded = (decode_model(evm, m) for m in models)
     graphs = sort_canonical(canon(g, memo) for g in decoded
                             if _may_be_lex_least(g))
     if stats is not None:

@@ -2,18 +2,19 @@
 
 The solver is plain DPLL with two-watched-literal unit propagation and
 chronological backtracking, trying false before true, so the model order is
-stable.  solve_all enumerates the models modulo a projection in one search
-and adds no clause to do it, after Toda & Soh ("Implementing efficient all
-solutions SAT solvers", ACM JEA 2016): it branches on the projection
-variables first, finds one completion of the rest, then backtracks over the
-projection decisions only.  solve is the same search stopped at its first
-model.  A model holds one 0/1 byte per variable.
+stable.  DpllSolver.enumerate_projected yields the models modulo a
+projection from one search and adds no clause to do it, after Toda & Soh
+("Implementing efficient all solutions SAT solvers", ACM JEA 2016): it
+branches on the projection variables first, finds one completion of the
+rest, then backtracks over the projection decisions only.  solve_all lists
+what it yields; solve is the same search stopped at its first model.  A
+model holds one 0/1 byte per variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class SatError(ValueError):
@@ -81,8 +82,8 @@ class Model:
 
 
 class DpllSolver:
-    """DPLL over a fixed clause set.  enumerate_projected runs the one
-    search of an instance.
+    """DPLL over a fixed clause set.  enumerate_projected is the one
+    search of an instance, a generator of models.
 
     The value of a literal is lv[lit]: None while its variable is
     unassigned, and lv[v] and lv[-v] (a negative list index) are kept
@@ -144,16 +145,6 @@ class DpllSolver:
                     i += 1
         return True
 
-    def _assert_units(self) -> bool:
-        """Assign and propagate the unit clauses; False on conflict."""
-        for u in self.units:
-            v = self.lv[u]
-            if v is False:
-                return False
-            if v is None:
-                self._assign(u)
-        return self._propagate(0)
-
     def _undo_to(self, mark: int) -> None:
         """Unassign everything past the trail mark."""
         lv = self.lv
@@ -177,31 +168,36 @@ class DpllSolver:
                     return k
         return None
 
-    def enumerate_projected(self, projection: list[int]) -> list[bytes]:
-        """All models pairwise distinct on the projection variables, each
-        as one 0/1 byte per variable.  projection is used as solve_all
+    def enumerate_projected(self, projection: list[int]) -> Iterator[bytes]:
+        """Yield all models pairwise distinct on the projection variables,
+        each as one 0/1 byte per variable.  projection is used as solve_all
         makes and checks it: distinct variables of 1..num_vars, ascending.
 
-        The search branches on the projection variables, then on the
-        others in ascending order, false before true.  At each full model
-        it drops the decisions on non-projection variables, so
-        backtracking resumes at the deepest projection decision: each
-        satisfiable projection assignment is reported once, with its first
-        completion, in lexicographic order, lowest projection variable most
-        significant; for a projection 1..k that is the false-first
-        lexicographic order of the whole models.  With an empty projection
-        only the first model is returned."""
-        models: list[bytes] = []
-        if not self._assert_units():
-            return models
+        The unit clauses are assigned and propagated first; a conflict
+        there yields nothing.  The search branches on the projection
+        variables, then on the others in ascending order, false before
+        true.  At each full model it drops the decisions on non-projection
+        variables, so backtracking resumes at the deepest projection
+        decision: each satisfiable projection assignment is yielded once,
+        with its first completion, in lexicographic order, lowest
+        projection variable most significant; for a projection 1..k that
+        is the false-first lexicographic order of the whole models.  With
+        an empty projection only the first model is yielded."""
         nv, lv = self.num_vars, self.lv
+        for u in self.units:
+            if lv[u] is False:
+                return
+            if lv[u] is None:
+                self._assign(u)
+        if not self._propagate(0):
+            return
         chosen = set(projection)
         order = projection + [v for v in range(1, nv + 1) if v not in chosen]
         decisions: list[tuple[int, int]] = []  # (trail mark, place in order)
         k = 0
         while True:
             if len(self.trail) == nv:  # each variable is on it once
-                models.append(bytes(lv[1:nv + 1]))
+                yield bytes(lv[1:nv + 1])
                 while decisions and decisions[-1][1] >= len(projection):
                     self._undo_to(decisions.pop()[0])
             else:
@@ -214,7 +210,7 @@ class DpllSolver:
                     continue
             k = self._resolve(decisions)
             if k is None:
-                return models
+                return
 
 
 def solve(f: CnfFormula) -> Optional[Model]:

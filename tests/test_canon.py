@@ -396,6 +396,15 @@ class TestColoredCanonization:
             canonize(Graph.empty(4),
                      CanonOptions(initial_coloring=OrderedPartition(((0, 1),))))
 
+    @pytest.mark.parametrize("coloring", [[[0, 1], [2]], ((0, 1), (2,)),
+                                          "x", 5])
+    def test_coloring_not_a_partition(self, coloring):
+        g = Graph.empty(3)
+        with pytest.raises(GraphError):
+            canonize(g, CanonOptions(initial_coloring=coloring))
+        with pytest.raises(GraphError):
+            isomorphic(3, g, g, CanonOptions(initial_coloring=coloring))
+
 
 class TestGroupSize:
     def test_matches_brute_force_n5_all_and_n6_classes(self):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from gcanon.canon import canonical_form, isomorphic
+from gcanon.canon import canonical_form, canonize, isomorphic
 from gcanon.generate import Stats
 from gcanon.graph import Graph, Permutation, apply_permutation
 from gcanon.graph6 import encode_graph6
@@ -52,6 +52,25 @@ def test_atlas_ramsey_class_counts(atlas, s, t):
     gen_ramsey_gt(RamseyInstance(s, t, 7),
                   stats=Stats(lambda *row: rows.append(row)))
     assert [r[:2] for r in rows] == [(n, classes[n]) for n in range(1, 8)]
+
+
+def test_seven_vertex_automorphisms_match_vf2(atlas):
+    # |Aut| and the orbits of each 7-vertex class, in a seeded relabeling,
+    # against every automorphism networkx's VF2 matcher lists.
+    rng = random.Random(71)
+    classes = [G for G in atlas if G.number_of_nodes() == 7]
+    assert len(classes) == ATLAS_CLASS_COUNTS[7]
+    for G in classes:
+        perm = list(range(7))
+        rng.shuffle(perm)
+        g = apply_permutation(from_nx(G), Permutation(tuple(perm)))
+        H = to_nx(g)
+        autos = list(nx.algorithms.isomorphism.GraphMatcher(H, H)
+                     .isomorphisms_iter())
+        result = canonize(g)
+        assert result.group_size == len(autos)
+        assert result.orbits == tuple(min(a[v] for a in autos)
+                                      for v in range(7))
 
 
 def test_graph6_matches_networkx(atlas):

@@ -51,7 +51,7 @@ def model_text(models, num_vars):
 ])
 def test_solve_all_model_order(s, t, n, count, digest):
     evm, f = ramsey.encode_ramsey(ramsey.RamseyInstance(s, t, n))
-    models = sat.solve_all(f, evm.var.values())
+    models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
     assert len(models) == count
     assert sha256(model_text(models, f.num_vars)) == digest
 

@@ -188,13 +188,25 @@ class TestGenerateTestReduce:
 
 class TestEncoding:
     def test_edge_var_map_layout(self):
-        evm = EdgeVarMap.for_vertices(5)
+        evm = EdgeVarMap(5)
         assert evm[(0, 1)] == 1
         assert evm[(1, 0)] == 1
         assert evm[(0, 4)] == 4
         assert evm[(1, 2)] == 5
         assert evm[(3, 4)] == 10
         assert evm.num_edge_vars == 10
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_edge_var_map_is_row_major(self, n):
+        evm = EdgeVarMap(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        assert evm.pairs == tuple(pairs)
+        for i, (u, v) in enumerate(pairs, 1):
+            assert evm[(u, v)] == evm[(v, u)] == i
+            assert evm.pairs[evm[(u, v)] - 1] == (u, v)
+        for pair in [(0, 0), (0, n), (-1, 0)]:
+            with pytest.raises(KeyError):
+                evm[pair]
 
     def test_subset_clauses_present(self):
         evm, f = encode_ramsey(RamseyInstance(3, 3, 5))
@@ -218,7 +230,7 @@ class TestEncoding:
 
     def test_decode_model_round_trip(self):
         evm, f = encode_ramsey(RamseyInstance(3, 3, 5))
-        models = sat.solve_all(f, evm.var.values())
+        models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
         for m in models:
             g = decode_model(evm, m)
             assert all(m[evm[(u, v)]] == g.has_edge(u, v)
@@ -226,19 +238,19 @@ class TestEncoding:
 
     def test_decode_model_matches_from_edges(self):
         evm, f = encode_ramsey(RamseyInstance(3, 5, 8))
-        models = sat.solve_all(f, evm.var.values())
+        models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
         assert models
         for m in models:
-            assert decode_model(evm, m) == Graph.from_edges(
-                evm.n, [pair for pair, var in evm.var.items() if m[var]])
+            edges = [pair for var, pair in enumerate(evm.pairs, 1) if m[var]]
+            assert decode_model(evm, m) == Graph.from_edges(evm.n, edges)
 
     def test_symmetry_break_soundness(self):
         # dropping the lex constraints must not lose any canonical class
         for n in range(1, 6):
             inst = RamseyInstance(3, 4, n)
             evm, f = encode_ramsey(inst)
-            graphs = [decode_model(evm, m)
-                      for m in sat.solve_all(f, evm.var.values())]
+            models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
+            graphs = [decode_model(evm, m) for m in models]
             assert all(is_ramsey(inst, g) for g in graphs)
             assert dedup_canonical(graphs) == gen_ramsey_gt(inst)
 

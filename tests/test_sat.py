@@ -219,7 +219,7 @@ def test_ramsey_encoding_dimacs_round_trip():
     inst = RamseyInstance(3, 3, 5)
     evm, f = encode_ramsey(inst)
     g = from_dimacs(to_dimacs(f))
-    models = solve_all(g, evm.var.values())
+    models = solve_all(g, range(1, evm.num_edge_vars + 1))
     graphs = [decode_model(evm, m) for m in models]
     assert len(graphs) == 1
     assert is_ramsey(inst, graphs[0])

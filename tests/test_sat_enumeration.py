@@ -9,9 +9,10 @@ that is not a prefix of the variables, and the empty projection.
 import itertools
 import random
 import sys
+from collections.abc import Iterator
 
 from gcanon import ramsey
-from gcanon.sat import CnfFormula, solve, solve_all
+from gcanon.sat import CnfFormula, DpllSolver, solve, solve_all
 
 from .test_sat import random_cnf, satisfies, truth_table_models
 
@@ -119,9 +120,23 @@ class TestEmptyProjection:
 
 def test_models_take_one_byte_per_variable():
     evm, f = ramsey.encode_ramsey(ramsey.RamseyInstance(3, 4, 7))
-    models = solve_all(f, evm.var.values())
+    models = solve_all(f, range(1, evm.num_edge_vars + 1))
     assert len(models) == 43
     for m in models:
         assert sys.getsizeof(m.values) <= f.num_vars + 64
         assert all(m[v] is True or m[v] is False
                    for v in range(1, f.num_vars + 1))
+
+
+def test_enumerate_projected_yields_solve_all_stream():
+    evm, f = ramsey.encode_ramsey(ramsey.RamseyInstance(3, 4, 7))
+    proj = list(range(1, evm.num_edge_vars + 1))
+    models = solve_all(f, proj)
+    solver = DpllSolver(f.num_vars)
+    for c in f.clauses:
+        solver.add_clause(c)
+    stream = solver.enumerate_projected(proj)
+    assert isinstance(stream, Iterator)
+    first = next(stream)
+    assert first == models[0].values
+    assert [first, *stream] == [m.values for m in models]

@@ -9,10 +9,7 @@ import pytest
 
 from gcanon import sat
 from gcanon.canon import CanonOptions, canonize
-from gcanon.graph import Graph, GraphError, OrderedPartition, Permutation, \
-    extensions
-from gcanon.ramsey import EdgeVarMap, RamseyInstance, decode_model, \
-    encode_ramsey
+from gcanon.graph import Graph, OrderedPartition, Permutation, extensions
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 
@@ -65,19 +62,3 @@ def test_extensions_equal_checked_graphs():
         assert h == Graph(h.n, h.rows)
         assert hash(h) == hash(Graph(h.n, h.rows))
 
-
-def test_edge_var_map_order_independent_of_insertion():
-    evm, f = encode_ramsey(RamseyInstance(3, 4, 6))
-    shuffled = EdgeVarMap(evm.n, dict(reversed(evm.var.items())))
-    assert shuffled.pairs == evm.pairs
-    for m in sat.solve_all(f, evm.var.values()):
-        assert decode_model(shuffled, m) == decode_model(evm, m)
-
-
-@pytest.mark.parametrize("var", [
-    {(0, 1): 2, (0, 2): 3, (1, 2): 4},
-    {(0, 1): 1, (0, 2): 1, (1, 2): 2},
-])
-def test_edge_var_map_rejects_variables_not_one_to_count(var):
-    with pytest.raises(GraphError):
-        EdgeVarMap(3, var)
