@@ -24,6 +24,10 @@ two prunings of the search:
   complete bipartite graphs then take at most n(n+1)/2 nodes instead of
   growing roughly as n^5.5.
 
+The first leaf's certificate is computed only when a second leaf arrives
+to be compared with it, so a search whose root partition is already
+discrete, one leaf, computes none.
+
 The reported vertex orbits are those of all generators found.  group_size,
 |Aut|, is the product over the first-path nodes of the size of the orbit of
 the first-path child under the automorphisms that fix the path so far,
@@ -181,7 +185,7 @@ class _CanonSearch:
             self._leaf([c[0] for c in cells], path)
             return
         # The nodes entered before the first leaf make up the first path.
-        first = self.first_cert is None
+        first = self.first_labeling is None
         target = cells[ti]
         # Orbits of the generators that fix path pointwise, made when the
         # first one is found; each generator is absorbed once.  They map
@@ -221,12 +225,15 @@ class _CanonSearch:
             self.group_size *= orbit_size
 
     def _leaf(self, labeling, path):
-        cert = _upper_bits(self.rows, labeling)
-        if self.first_cert is None:
-            self.first_cert = self.best_cert = cert
+        if self.first_labeling is None:
             self.first_labeling = self.best_labeling = labeling
             self.first_path = path[:]
-        elif cert == self.first_cert:
+            return
+        if self.first_cert is None:
+            self.first_cert = self.best_cert = _upper_bits(
+                self.rows, self.first_labeling)
+        cert = _upper_bits(self.rows, labeling)
+        if cert == self.first_cert:
             # Two labelings with the same certificate witness an automorphism,
             # never the identity: where the paths part, each puts another
             # vertex in the same singleton cell, which refinement never moves.

@@ -21,6 +21,10 @@ GRAPH6_ATOM = "graph6_atom"
 FORMATS = frozenset({ADJ_MATRIX, ADJ_LIST, EDGE_LIST, GRAPH6_ATOM})
 
 
+# _REV8[b] is the byte b with its 8 bits in reverse order.
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 class GraphError(ValueError):
     """Malformed graph data: bad shape, asymmetry, self loop, index range."""
 
@@ -102,8 +106,19 @@ class Graph:
     def upper_triangle_bits(self) -> int:
         """Upper-triangle adjacency packed as an integer, graph6 bit order
         (column by column), first bit most significant.  Total order key on
-        graphs of equal n."""
-        return _upper_bits(self.rows, range(self.n))
+        graphs of equal n.
+
+        Bit i of rows[j], i < j, is entry (i, j).  Each column's bits go in
+        least significant first, so the whole string comes out reversed;
+        one byte-wise table lookup in C reverses it, and the Python loop
+        makes one shift per column, not per bit."""
+        rev = pos = 0
+        for j, row in enumerate(self.rows):
+            rev |= (row & ((1 << j) - 1)) << pos
+            pos += j
+        k = (pos + 7) >> 3
+        return int.from_bytes(
+            rev.to_bytes(k, "little").translate(_REV8), "big") >> (8 * k - pos)
 
     def delete_vertex(self, v: int) -> "Graph":
         """Induced subgraph on the other n-1 vertices, order preserved."""
@@ -263,7 +278,11 @@ def _relabel_rows(rows, pos) -> tuple[int, ...]:
 def _upper_bits(rows, order) -> int:
     """Upper-triangle bits of the graph relabeled so order[i] sits at
     position i, in graph6 order, first bit most significant; each column
-    is packed in a small int, so the big int shifts once per column."""
+    is packed in a small int, so the big int shifts once per column.
+
+    It serves the canonizer's leaf certificates and memo keys, which need
+    an order; graph6 and Graph.upper_triangle_bits read the rows as they
+    are, without it."""
     picked = [rows[u] for u in order]
     bits = 0
     for j in range(1, len(picked)):

@@ -1,19 +1,28 @@
-"""Bit-exact graph6 encoder/decoder (short size header, n <= 62).
+"""Bit-exact graph6 encoder/decoder for every n a Graph holds (n <= 64).
 
-The body packs the upper adjacency triangle in column order
-(0,1),(0,2),(1,2),(0,3),... into big-endian 6-bit groups, each offset by 63.
+The size header is one byte n + 63 for n <= 62, and "~" plus three bytes
+(big-endian 6-bit groups, each offset by 63) for 63 <= n <= 258047.  The
+body packs the upper adjacency triangle in column order
+(0,1),(0,2),(1,2),(0,3),... into big-endian 6-bit groups, each offset by
+63: base64 with another alphabet, so the encoder turns the bits into
+characters with one binascii call and one translation table.
 Line streams are newline-terminated bare atoms, byte-compatible with the
 gtools geng/shortg programs.
 """
 
 from __future__ import annotations
 
+from binascii import b2a_base64
 from typing import Iterable, Iterator
 
-from .graph import Graph, GraphError
+from .graph import DEFAULT_VERTEX_CAP, Graph, GraphError, VertexCapExceeded
 
 STREAM_HEADER = ">>graph6<<"
-MAX_GRAPH6_N = 62
+
+# base64 digit i -> graph6 character 63 + i
+_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
 
 
 class Graph6Error(GraphError):
@@ -21,17 +30,33 @@ class Graph6Error(GraphError):
 
 
 def encode_graph6(g: Graph) -> str:
-    if g.n > MAX_GRAPH6_N:
-        raise Graph6Error(
-            f"n={g.n}: only the single-byte size header (n <= 62) is supported")
-    out = [chr(g.n + 63)]
-    nbits = g.n * (g.n - 1) // 2
-    bits = g.upper_triangle_bits()
-    pad = -nbits % 6
-    bits <<= pad
-    for shift in range(nbits + pad - 6, -1, -6):
-        out.append(chr((bits >> shift & 0x3F) + 63))
-    return "".join(out)
+    n = g.n
+    nbits = n * (n - 1) // 2
+    nchars = (nbits + 5) // 6
+    # whole bytes that hold the nchars 6-bit groups, the bits left-aligned
+    nbytes = (6 * nchars + 7) >> 3
+    raw = (g.upper_triangle_bits() << (8 * nbytes - nbits)).to_bytes(
+        nbytes, "big")
+    body = b2a_base64(raw, newline=False)[:nchars].translate(_TO_GRAPH6)
+    if n <= 62:
+        header = chr(n + 63)
+    else:
+        header = "~" + "".join(chr((n >> s & 0x3F) + 63) for s in (12, 6, 0))
+    return header + body.decode("ascii")
+
+
+def _read_size(atom: str) -> tuple[int, int]:
+    """(n, header length) of an atom of graph6 characters."""
+    if atom[0] != "~":
+        return ord(atom[0]) - 63, 1
+    if len(atom) < 4:
+        raise Graph6Error(f"truncated size header {atom!r}")
+    n = 0
+    for ch in atom[1:4]:
+        n = n << 6 | (ord(ch) - 63)
+    if n < 63:
+        raise Graph6Error(f"long size header for n={n}, which takes one byte")
+    return n, 4
 
 
 def decode_graph6(atom: str) -> Graph:
@@ -42,15 +67,17 @@ def decode_graph6(atom: str) -> Graph:
     for ch in atom:
         if not 63 <= ord(ch) <= 126:
             raise Graph6Error(f"character {ch!r} outside graph6 byte range")
-    n = ord(atom[0]) - 63
-    if n > MAX_GRAPH6_N:
-        raise Graph6Error(
-            f"size header {atom[0]!r}: multi-byte headers (n > 62) unsupported")
+    n, start = _read_size(atom)
     nbits = n * (n - 1) // 2
-    body = atom[1:]
+    body = atom[start:]
     if len(body) != (nbits + 5) // 6:
         raise Graph6Error(
             f"body length {len(body)}, expected {(nbits + 5) // 6} for n={n}")
+    # Graph._trusted below does not check n.  Malformed text, whatever
+    # its n, is a Graph6Error from the checks above.
+    if n > DEFAULT_VERTEX_CAP:
+        raise VertexCapExceeded(
+            f"n={n} exceeds vertex cap {DEFAULT_VERTEX_CAP}")
     bits = 0
     for ch in body:
         bits = bits << 6 | (ord(ch) - 63)

@@ -56,6 +56,8 @@ class EdgeVarMap:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 0:
+            raise GraphError(f"vertex count {self.n!r} is not an int >= 0")
         object.__setattr__(
             self, "pairs", tuple(itertools.combinations(range(self.n), 2)))
 

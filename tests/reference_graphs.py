@@ -9,6 +9,7 @@ symmetric, each with the order of its automorphism group where a closed
 form is known.
 """
 
+import itertools
 import random
 from math import factorial
 
@@ -145,6 +146,37 @@ def gnp(n, seed):
     return Graph.from_edges(n, [(u, v) for u in range(n)
                                 for v in range(u + 1, n)
                                 if rng.random() < 0.5])
+
+
+def cfi(n, edges, twisted):
+    """Cai-Furer-Immerman graph over the base graph (n, edges).
+
+    Each base vertex v of degree d becomes 2^(d-1) middle vertices, one
+    per even-size subset S of its edges, and two end vertices (v, e, 0)
+    and (v, e, 1) per edge e at v; a middle vertex is adjacent to
+    (v, e, 1) for e in S and to (v, e, 0) otherwise.  Each base edge
+    {u, v} joins (u, e, i) to (v, e, i), except that the twisted graph
+    crosses the first edge: (u, e, i) to (v, e, 1 - i).  Over a connected
+    base graph the two are not isomorphic, yet refinement cannot tell
+    them apart (Cai, Furer & Immerman, Combinatorica 12, 1992)."""
+    at = [[e for e in edges if v in e] for v in range(n)]
+    index = {}
+    pairs = []
+    for v in range(n):
+        for e in at[v]:
+            for i in (0, 1):
+                index[v, e, i] = len(index)
+        for bits in itertools.product((0, 1), repeat=len(at[v])):
+            if sum(bits) % 2 == 0:
+                m = len(index)
+                index[v, bits] = m
+                pairs += [(m, index[v, e, b]) for e, b in zip(at[v], bits)]
+    for k, e in enumerate(edges):
+        u, v = e
+        for i in (0, 1):
+            j = 1 - i if twisted and k == 0 else i
+            pairs.append((index[u, e, i], index[v, e, j]))
+    return Graph.from_edges(len(index), pairs)
 
 
 def large_graphs():

@@ -6,6 +6,7 @@ from collections import deque
 
 import pytest
 
+from gcanon import canon
 from gcanon.canon import (
     CanonOptions,
     _CanonSearch,
@@ -37,10 +38,12 @@ from .reference_graphs import (
     ISO_WITNESS_1BASED,
     NONISO_PAIR_A,
     NONISO_PAIR_B,
+    cfi,
     complete,
     complete_bipartite,
     cycle,
     disjoint_copies,
+    gnp,
     hypercube,
     large_graphs,
     petersen,
@@ -580,3 +583,43 @@ def test_relabeling_invariance_large(g):
         assert r.group_size == base.group_size
         assert orbit_sets(r.orbits) == {frozenset(p(v) for v in orbit)
                                         for orbit in base_orbits}
+
+
+def test_one_leaf_search_computes_no_certificate(monkeypatch):
+    # G(50,1/2) seed 2050 is rigid, and its root partition is discrete:
+    # the search has one leaf, whose certificate nothing would read.
+    calls = []
+    upper_bits = canon._upper_bits
+
+    def counted(rows, order):
+        calls.append(order)
+        return upper_bits(rows, order)
+
+    monkeypatch.setattr(canon, "_upper_bits", counted)
+    g = gnp(50, 2050)
+    r = canonize(g)
+    assert r.group_size == 1 and len(r.partition.cells) == g.n
+    assert calls == []
+    # a second leaf brings both certificates
+    canonize(C5)
+    assert len(calls) >= 2
+
+
+# The CFI graphs over K4 and K3,3, both cubic, so 10 vertices per base
+# vertex, and their expected |Aut|: |Aut(B)| of the base graph B times
+# 2^(|E| - |V| + 1), one end-pair flip per independent cycle of B.
+@pytest.mark.parametrize("n,edges,order", [
+    pytest.param(4, list(itertools.combinations(range(4), 2)), 24 * 2 ** 3,
+                 id="K4"),
+    pytest.param(6, [(u, v) for u in range(3) for v in range(3, 6)],
+                 72 * 2 ** 4, id="K3,3"),
+])
+def test_cfi_pair(n, edges, order):
+    pair = [cfi(n, edges, twisted) for twisted in (False, True)]
+    results = [canonize(g) for g in pair]
+    assert [g.n for g in pair] == [10 * n] * 2
+    assert results[0].canonic != results[1].canonic
+    assert [r.group_size for r in results] == [order] * 2
+    rng = random.Random(n)
+    for g, r in zip(pair, results):
+        assert canonical_form(relabelled(g, rng)) == r.canonic

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from gcanon.graph import Graph, _relabel_rows, _upper_bits
+from gcanon.graph import (
+    Graph,
+    VertexCapExceeded,
+    _relabel_rows,
+    _upper_bits,
+)
 from gcanon.graph6 import (
     Graph6Error,
     decode_graph6,
@@ -61,10 +66,32 @@ def test_lex_order_matches_bit_order(graphs5):
 
 
 def test_rejects_large_n():
+    # n = 65 in the long size header, with a body of the right length
+    body = "?" * ((65 * 64 // 2 + 5) // 6)
+    with pytest.raises(VertexCapExceeded):
+        decode_graph6("~?@@" + body)
+    with pytest.raises(VertexCapExceeded):
+        Graph.empty(65)
     with pytest.raises(Graph6Error):
-        encode_graph6(Graph.empty(63))
-    with pytest.raises(Graph6Error):
-        decode_graph6(chr(63 + 63))
+        decode_graph6("~")
+
+
+def test_long_size_header():
+    # formats.txt: n = 63 is "~??~", then 326 body bytes
+    atom = encode_graph6(Graph.empty(63))
+    assert atom == "~??~" + "?" * 326
+    assert decode_graph6(atom) == Graph.empty(63)
+    assert encode_graph6(Graph.empty(64))[:4] == "~?@?"
+
+
+@pytest.mark.parametrize("atom", [
+    "~??}" + "?" * 316,   # n = 62 in the long form
+    "~???",               # n = 0 in the long form
+    "~", "~?", "~??", "~~",  # truncated headers
+])
+def test_rejects_long_header_for_small_or_truncated(atom):
+    with pytest.raises(Graph6Error, match="size header"):
+        decode_graph6(atom)
 
 
 def test_rejects_bad_length():
@@ -128,14 +155,32 @@ def per_bit_relabel(rows, pos):
 
 
 def seeded_graphs(density, seed):
-    """One seeded graph of the given edge density for each n = 0..62."""
+    """One seeded graph of the given edge density for each n = 0..64."""
     rng = random.Random(seed)
-    for n in range(63):
+    for n in range(65):
         yield Graph.from_edges(n, [
             e for e in itertools.combinations(range(n), 2)
             if rng.random() < density])
 
 
+def per_group_encode(g):
+    """Reference encoder: the size header of formats.txt, then one Python
+    step per 6-bit group of the per-bit packing."""
+    n = g.n
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = ["~", chr((n >> 12) + 63), chr((n >> 6 & 0x3F) + 63),
+               chr((n & 0x3F) + 63)]
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    bits = per_bit_upper(g.rows, range(n)) << pad
+    for shift in range(nbits + pad - 6, -1, -6):
+        out.append(chr((bits >> shift & 0x3F) + 63))
+    return "".join(out)
+
+
+# densities 0 and 1 give the empty and complete graphs
 DENSITIES = [0, 0.05, 0.5, 0.95, 1]
 
 
@@ -144,6 +189,8 @@ def test_packing_kernels_match_per_bit_reference(density):
     rng = random.Random(71)
     for g in seeded_graphs(density, 73):
         assert g.upper_triangle_bits() == per_bit_upper(g.rows, range(g.n))
+        assert g.upper_triangle_bits() == _upper_bits(g.rows, range(g.n))
+        assert encode_graph6(g) == per_group_encode(g)
         labeling = list(range(g.n))
         rng.shuffle(labeling)
         assert (_upper_bits(g.rows, labeling)

@@ -2,6 +2,7 @@
 isomorphism.  Skipped where networkx is not installed; it is never a
 runtime dependency of gcanon."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -13,7 +14,7 @@ from gcanon.graph import Graph, Permutation, apply_permutation
 from gcanon.graph6 import encode_graph6
 from gcanon.ramsey import RamseyInstance, gen_ramsey_gt, is_ramsey
 
-from .reference_graphs import gnp
+from .reference_graphs import cfi, gnp
 
 nx = pytest.importorskip("networkx")
 
@@ -123,3 +124,11 @@ def test_isomorphic_agrees_with_networkx(g, h):
     assert (result is not None) == expected
     if result is not None:
         assert apply_permutation(g, result[0]) == h
+
+
+def test_cfi_pair_over_k4_is_not_isomorphic():
+    # canonize tells the pair apart (tests/test_canon.py); VF2 agrees
+    k4 = list(itertools.combinations(range(4), 2))
+    untwisted, twisted = (cfi(4, k4, t) for t in (False, True))
+    assert isomorphic(40, untwisted, twisted) is None
+    assert not nx.is_isomorphic(to_nx(untwisted), to_nx(twisted))

@@ -208,6 +208,11 @@ class TestEncoding:
             with pytest.raises(KeyError):
                 evm[pair]
 
+    @pytest.mark.parametrize("n", [-1, 2.5, True, "5", None])
+    def test_edge_var_map_rejects_bad_vertex_count(self, n):
+        with pytest.raises(GraphError):
+            EdgeVarMap(n)
+
     def test_subset_clauses_present(self):
         evm, f = encode_ramsey(RamseyInstance(3, 3, 5))
         ints = [sorted(c) for c in f.clauses]
