@@ -131,9 +131,11 @@ def _refine(rows, cells, seeds):
     return cells
 
 
-def _refine_cells(rows, cells):
+def _root_cells(rows, n, cells=None):
     """Coarsest equitable refinement of the given vertex cells, every cell
-    a seed splitter."""
+    a seed splitter; the cells default to the whole vertex set."""
+    if cells is None:
+        cells = [range(n)] if n else []
     cells = [tuple(sorted(c)) for c in cells]
     seeds = []
     for cell in cells:
@@ -148,7 +150,7 @@ def refine_equitable(g: Graph, p: OrderedPartition) -> OrderedPartition:
     """Coarsest equitable refinement of p with deterministic cell order."""
     if p.n != g.n:
         raise GraphError("partition does not cover the graph's vertices")
-    return _derived(OrderedPartition, tuple(_refine_cells(g.rows, p.cells)))
+    return _derived(OrderedPartition, tuple(_root_cells(g.rows, g.n, p.cells)))
 
 
 def _absorb(orbits, gen):
@@ -251,13 +253,6 @@ class _CanonSearch:
         elif cert < self.best_cert:
             self.best_cert = cert
             self.best_labeling = labeling
-
-
-def _root_cells(rows, n, coloring_cells=None):
-    """Equitable refinement of the coloring, the whole vertex set if none."""
-    if coloring_cells is None:
-        coloring_cells = [range(n)] if n else []
-    return _refine_cells(rows, coloring_cells)
 
 
 def _search_from(rows, n, root):

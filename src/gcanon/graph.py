@@ -121,16 +121,13 @@ class Graph:
             rev.to_bytes(k, "little").translate(_REV8), "big") >> (8 * k - pos)
 
     def delete_vertex(self, v: int) -> "Graph":
-        """Induced subgraph on the other n-1 vertices, order preserved."""
-        keep = [u for u in range(self.n) if u != v]
-        rows = []
-        for u in keep:
-            row = 0
-            for j, w in enumerate(keep):
-                if self.rows[u] >> w & 1:
-                    row |= 1 << j
-            rows.append(row)
-        return Graph(self.n - 1, tuple(rows))
+        """Induced subgraph on the other n-1 vertices, order preserved.
+        v must be an int vertex of the graph; each row keeps its bits
+        below v and shifts those above v down by one."""
+        low = (1 << _check_vertex(self.n, v)) - 1
+        return Graph._trusted(self.n - 1, tuple(
+            (r & low) | (r >> 1 & ~low)
+            for u, r in enumerate(self.rows) if u != v))
 
     @staticmethod
     def empty(n: int) -> "Graph":

@@ -2,7 +2,7 @@
 
 The solver is plain DPLL with two-watched-literal unit propagation and
 chronological backtracking, trying false before true, so the model order is
-stable.  DpllSolver.enumerate_projected yields the models modulo a
+stable.  One generator, _enumerate_projected, yields the models modulo a
 projection from one search and adds no clause to do it, after Toda & Soh
 ("Implementing efficient all solutions SAT solvers", ACM JEA 2016): it
 branches on the projection variables first, finds one completion of the
@@ -14,7 +14,7 @@ model holds one 0/1 byte per variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 class SatError(ValueError):
@@ -81,40 +81,41 @@ class Model:
             raise KeyError(var) from None
 
 
-class DpllSolver:
-    """DPLL over a fixed clause set.  enumerate_projected is the one
-    search of an instance, a generator of models.
+def _enumerate_projected(f: CnfFormula,
+                         projection: list[int]) -> Iterator[bytes]:
+    """Yield all models of f pairwise distinct on the projection variables,
+    each as one 0/1 byte per variable.  projection is used as solve_all
+    makes and checks it: distinct variables of 1..num_vars, ascending.
 
-    The value of a literal is lv[lit]: None while its variable is
-    unassigned, and lv[v] and lv[-v] (a negative list index) are kept
-    opposite, so each watch check is a single list index.  The watch lists
-    are indexed by literal the same way."""
+    All state is local to one call.  The value of a literal is lv[lit]:
+    None while its variable is unassigned, and lv[v] and lv[-v] (a
+    negative list index) are kept opposite, so each watch check is a
+    single list index; the watch lists are indexed by literal the same way.
 
-    def __init__(self, num_vars: int):
-        self.num_vars = num_vars
-        self.lv: list[Optional[bool]] = [None] * (2 * num_vars + 1)
-        self.watches: list[list] = [[] for _ in range(2 * num_vars + 1)]
-        self.units: list[int] = []
-        self.trail: list[int] = []
+    The unit clauses are assigned and propagated first; a conflict there
+    yields nothing.  The search branches on the projection variables,
+    then on the others in ascending order, false before true.  At each
+    full model it drops the decisions on non-projection variables, so
+    backtracking resumes at the deepest projection decision: each
+    satisfiable projection assignment is yielded once, with its first
+    completion, in lexicographic order, lowest projection variable most
+    significant; for a projection 1..k that is the false-first
+    lexicographic order of the whole models.  With an empty projection
+    only the first model is yielded."""
+    nv = f.num_vars
+    lv: list[Optional[bool]] = [None] * (2 * nv + 1)
+    watches: list[list] = [[] for _ in range(2 * nv + 1)]
+    trail: list[int] = []
+    decisions: list[tuple[int, int]] = []  # (trail mark, place in order)
 
-    def add_clause(self, lits: Sequence[int]) -> None:
-        """Add a non-empty clause without repeated literals."""
-        if len(lits) == 1:
-            self.units.append(lits[0])
-            return
-        clause = list(lits)
-        self.watches[clause[0]].append(clause)
-        self.watches[clause[1]].append(clause)
+    def assign(lit: int) -> None:
+        lv[lit] = True
+        lv[-lit] = False
+        trail.append(lit)
 
-    def _assign(self, lit: int) -> None:
-        self.lv[lit] = True
-        self.lv[-lit] = False
-        self.trail.append(lit)
-
-    def _propagate(self, qhead: int) -> bool:
+    def propagate(qhead: int) -> bool:
         """Exhaust unit propagation from trail position qhead; False on
         conflict."""
-        lv, trail, watches = self.lv, self.trail, self.watches
         while qhead < len(trail):
             false_lit = -trail[qhead]
             qhead += 1
@@ -145,72 +146,58 @@ class DpllSolver:
                     i += 1
         return True
 
-    def _undo_to(self, mark: int) -> None:
+    def undo_to(mark: int) -> None:
         """Unassign everything past the trail mark."""
-        lv = self.lv
-        for lit in self.trail[mark:]:
+        for lit in trail[mark:]:
             lv[lit] = lv[-lit] = None
-        del self.trail[mark:]
+        del trail[mark:]
 
-    def _resolve(self, decisions: list) -> Optional[int]:
+    def resolve() -> Optional[int]:
         """Chronological backtracking: flip the deepest decision still on
         its false branch, the one whose literal at its trail mark is
         negative.  Returns that decision's place in the branching order,
         or None when the search space is exhausted."""
         while decisions:
             mark, k = decisions.pop()
-            lit = -self.trail[mark]
-            self._undo_to(mark)
+            lit = -trail[mark]
+            undo_to(mark)
             if lit > 0:
                 decisions.append((mark, k))
-                self._assign(lit)
-                if self._propagate(mark):
+                assign(lit)
+                if propagate(mark):
                     return k
         return None
 
-    def enumerate_projected(self, projection: list[int]) -> Iterator[bytes]:
-        """Yield all models pairwise distinct on the projection variables,
-        each as one 0/1 byte per variable.  projection is used as solve_all
-        makes and checks it: distinct variables of 1..num_vars, ascending.
-
-        The unit clauses are assigned and propagated first; a conflict
-        there yields nothing.  The search branches on the projection
-        variables, then on the others in ascending order, false before
-        true.  At each full model it drops the decisions on non-projection
-        variables, so backtracking resumes at the deepest projection
-        decision: each satisfiable projection assignment is yielded once,
-        with its first completion, in lexicographic order, lowest
-        projection variable most significant; for a projection 1..k that
-        is the false-first lexicographic order of the whole models.  With
-        an empty projection only the first model is yielded."""
-        nv, lv = self.num_vars, self.lv
-        for u in self.units:
-            if lv[u] is False:
-                return
-            if lv[u] is None:
-                self._assign(u)
-        if not self._propagate(0):
+    for c in f.clauses:
+        if len(c) > 1:
+            clause = list(c)
+            watches[c[0]].append(clause)
+            watches[c[1]].append(clause)
+        elif lv[c[0]] is False:
             return
-        chosen = set(projection)
-        order = projection + [v for v in range(1, nv + 1) if v not in chosen]
-        decisions: list[tuple[int, int]] = []  # (trail mark, place in order)
-        k = 0
-        while True:
-            if len(self.trail) == nv:  # each variable is on it once
-                yield bytes(lv[1:nv + 1])
-                while decisions and decisions[-1][1] >= len(projection):
-                    self._undo_to(decisions.pop()[0])
-            else:
-                while lv[order[k]] is not None:
-                    k += 1
-                mark = len(self.trail)
-                decisions.append((mark, k))
-                self._assign(-order[k])
-                if self._propagate(mark):
-                    continue
-            k = self._resolve(decisions)
-            if k is None:
-                return
+        elif lv[c[0]] is None:
+            assign(c[0])
+    if not propagate(0):
+        return
+    chosen = set(projection)
+    order = projection + [v for v in range(1, nv + 1) if v not in chosen]
+    k = 0
+    while True:
+        if len(trail) == nv:  # each variable is on it once
+            yield bytes(lv[1:nv + 1])
+            while decisions and decisions[-1][1] >= len(projection):
+                undo_to(decisions.pop()[0])
+        else:
+            while lv[order[k]] is not None:
+                k += 1
+            mark = len(trail)
+            decisions.append((mark, k))
+            assign(-order[k])
+            if propagate(mark):
+                continue
+        k = resolve()
+        if k is None:
+            return
 
 
 def solve(f: CnfFormula) -> Optional[Model]:
@@ -237,10 +224,7 @@ def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[Model]:
     for v in proj:
         if not 1 <= v <= f.num_vars:
             raise SatError(f"projection variable {v} out of range")
-    solver = DpllSolver(f.num_vars)
-    for c in f.clauses:
-        solver.add_clause(c)
-    return [Model(raw) for raw in solver.enumerate_projected(proj)]
+    return [Model(raw) for raw in _enumerate_projected(f, proj)]
 
 
 def to_dimacs(f: CnfFormula) -> str:

@@ -107,6 +107,12 @@ class TestGraphValue:
         h = g.delete_vertex(4)
         assert h.edges() == [(0, 1), (0, 2), (1, 3)]
 
+    @pytest.mark.parametrize("v", [True, 2.0, 5, -1, None])
+    def test_delete_vertex_rejects_a_non_vertex(self, v):
+        g = Graph.from_matrix(CYCLE5_MATRIX)
+        with pytest.raises(GraphError, match="out of range for n=5"):
+            g.delete_vertex(v)
+
 
 class TestConvert:
     def test_graph6_to_matrix_known_atom(self):

@@ -12,7 +12,7 @@ import sys
 from collections.abc import Iterator
 
 from gcanon import ramsey
-from gcanon.sat import CnfFormula, DpllSolver, solve, solve_all
+from gcanon.sat import CnfFormula, _enumerate_projected, solve, solve_all
 
 from .test_sat import random_cnf, satisfies, truth_table_models
 
@@ -132,11 +132,21 @@ def test_enumerate_projected_yields_solve_all_stream():
     evm, f = ramsey.encode_ramsey(ramsey.RamseyInstance(3, 4, 7))
     proj = list(range(1, evm.num_edge_vars + 1))
     models = solve_all(f, proj)
-    solver = DpllSolver(f.num_vars)
-    for c in f.clauses:
-        solver.add_clause(c)
-    stream = solver.enumerate_projected(proj)
+    stream = _enumerate_projected(f, proj)
     assert isinstance(stream, Iterator)
     first = next(stream)
     assert first == models[0].values
     assert [first, *stream] == [m.values for m in models]
+
+
+def test_enumerations_of_one_formula_share_no_state():
+    evm, f = ramsey.encode_ramsey(ramsey.RamseyInstance(3, 4, 7))
+    proj = list(range(1, evm.num_edge_vars + 1))
+    models = [m.values for m in solve_all(f, proj)]
+    assert len(models) == 43
+    # a stream left after two models neither disturbs a second one nor
+    # is disturbed by it
+    first = _enumerate_projected(f, proj)
+    assert [next(first), next(first)] == models[:2]
+    assert list(_enumerate_projected(f, proj)) == models
+    assert list(first) == models[2:]
