@@ -15,8 +15,9 @@ from .graph import (
     ADJ_MATRIX,
     EDGE_LIST,
     GRAPH6_ATOM,
-    Graph,
     GraphError,
+    _parse_graph,
+    _render_graph,
     graph_convert,
 )
 
@@ -80,10 +81,8 @@ def _cmd_convert(args) -> int:
 def _cmd_canon(args) -> int:
     fmt = FMT_NAMES[args.fmt]
     for value in _read_graph_texts(sys.stdin, fmt, args.n):
-        matrix = graph_convert(args.n, fmt, ADJ_MATRIX, value)
-        result = canonize(Graph.from_matrix(matrix))
-        out = graph_convert(args.n, ADJ_MATRIX, fmt,
-                            result.canonic.to_matrix())
+        result = canonize(_parse_graph(args.n, fmt, value))
+        out = _render_graph(fmt, result.canonic)
         if args.perm:
             perm = " ".join(str(i) for i in result.permutation.one_based())
             if fmt == GRAPH6_ATOM:

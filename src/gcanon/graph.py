@@ -87,10 +87,11 @@ class Graph:
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        return bool(self.rows[_check_vertex(self.n, u)]
+                    >> _check_vertex(self.n, v) & 1)
 
     def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
+        return self.rows[_check_vertex(self.n, u)].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n)
@@ -207,7 +208,7 @@ class Permutation:
         return len(self.map)
 
     def __call__(self, i: int) -> int:
-        return self.map[i]
+        return self.map[_check_vertex(len(self.map), i)]
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(i) = self(other(i))."""
@@ -367,26 +368,37 @@ def graph_convert(n: int, from_fmt: str, to_fmt: str, value):
     for fmt in (from_fmt, to_fmt):
         if fmt not in FORMATS:
             raise GraphError(f"unknown graph format {fmt!r}")
-    _check_vertex_count(n)
-    from . import graph6
+    return _render_graph(to_fmt, _parse_graph(n, from_fmt, value))
 
-    if from_fmt == ADJ_MATRIX:
+
+def _parse_graph(n: int, fmt: str, value) -> Graph:
+    """The graph on n vertices that a caller's value holds in format fmt,
+    a member of FORMATS, checked in full."""
+    _check_vertex_count(n)
+    if fmt == ADJ_MATRIX:
         g = Graph.from_matrix(value)
-    elif from_fmt == ADJ_LIST:
+    elif fmt == ADJ_LIST:
         g = _from_adj_list(n, value)
-    elif from_fmt == EDGE_LIST:
+    elif fmt == EDGE_LIST:
         g = _from_edge_list(n, value)
     else:
         if not isinstance(value, str):
             raise GraphError("graph6 atom is not a string")
+        from . import graph6
         g = graph6.decode_graph6(value)
     if g.n != n:
         raise GraphError(f"input graph has {g.n} vertices, expected {n}")
+    return g
 
-    if to_fmt == ADJ_MATRIX:
+
+def _render_graph(fmt: str, g: Graph):
+    """g in format fmt, a member of FORMATS, with adj_list and edge_list
+    sorted and deduplicated."""
+    if fmt == ADJ_MATRIX:
         return g.to_matrix()
-    if to_fmt == ADJ_LIST:
-        return [[v for v in range(n) if g.rows[u] >> v & 1] for u in range(n)]
-    if to_fmt == EDGE_LIST:
+    if fmt == ADJ_LIST:
+        return [[v for v in range(g.n) if row >> v & 1] for row in g.rows]
+    if fmt == EDGE_LIST:
         return g.edges()
+    from . import graph6
     return graph6.encode_graph6(g)

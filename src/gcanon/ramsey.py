@@ -62,11 +62,14 @@ class EdgeVarMap:
             self, "pairs", tuple(itertools.combinations(range(self.n), 2)))
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
-        u, v = sorted(pair)
-        if not 0 <= u < v < self.n:
-            raise KeyError(pair)
-        # rows 0..u-1 hold (n-1) + ... + (n-u) pairs; then v is at v - u
-        return u * (2 * self.n - u - 1) // 2 + v - u
+        match pair:
+            case (u, v) if type(u) is int and type(v) is int:  # not bool
+                if u > v:
+                    u, v = v, u
+                if 0 <= u < v < self.n:
+                    # (n-1) + ... + (n-u) pairs in rows 0..u-1, then v - u
+                    return u * (2 * self.n - u - 1) // 2 + v - u
+        raise KeyError(pair)
 
     @property
     def num_edge_vars(self) -> int:

@@ -1,11 +1,14 @@
 import io
 import json
+from collections import Counter
 
 import pytest
 
+from gcanon.canon import canonize
 from gcanon.cli import run
+from gcanon.generate import all_nonisomorphic
 from gcanon.graph import Graph, apply_permutation, Permutation
-from gcanon.graph6 import STREAM_HEADER, decode_graph6
+from gcanon.graph6 import STREAM_HEADER, decode_graph6, encode_graph6
 from gcanon import sat
 
 from .reference_graphs import CYCLE5_ATOM, CYCLE5_MATRIX, TWELVE_CYCLE_ATOMS
@@ -16,6 +19,59 @@ def cli(capsys, monkeypatch, argv, stdin=""):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CANON_FMTS = ["graph6", "adj-matrix", "adj-list", "edge-list"]
+
+# every graph on 5 vertices, relabeled so that few are canonical as given
+FIVE_VERTEX_INPUTS = [apply_permutation(g, Permutation((3, 0, 4, 1, 2)))
+                      for g in all_nonisomorphic(5)]
+
+
+def graph_text(fmt, g):
+    """g as one graph of a --fmt stream, written without the library's
+    converters."""
+    rows = [[v for v in range(g.n) if g.rows[u] >> v & 1] for u in range(g.n)]
+    if fmt == "graph6":
+        return encode_graph6(g) + "\n"
+    if fmt == "adj-matrix":
+        return "".join("".join("1" if v in r else "0" for v in range(g.n))
+                       + "\n" for r in rows) + "\n"
+    if fmt == "adj-list":
+        return json.dumps(rows) + "\n"
+    return json.dumps([[u, v] for u, r in enumerate(rows)
+                       for v in r if u < v]) + "\n"
+
+
+def read_canon_output(fmt, n, with_perm, out):
+    """The (graph, permutation or None) pairs of a canon --fmt stream."""
+    lines = iter(out.splitlines())
+    found = []
+    for line in lines:
+        perm = None
+        if fmt == "graph6":
+            if with_perm:
+                line, perm = line.split("\t")
+            g = decode_graph6(line)
+        else:
+            if with_perm:
+                assert line.startswith("perm ")
+                perm, line = line[len("perm "):], next(lines)
+            if fmt == "adj-matrix":
+                rows = [line] + [next(lines) for _ in range(n - 1)]
+                assert next(lines) == ""
+                g = Graph.from_edges(n, [(u, v) for u, r in enumerate(rows)
+                                         for v, c in enumerate(r) if c == "1"])
+            elif fmt == "adj-list":
+                g = Graph.from_edges(n, [(u, v) for u, vs in
+                                         enumerate(json.loads(line))
+                                         for v in vs])
+            else:
+                g = Graph.from_edges(n, [tuple(e) for e in json.loads(line)])
+        if perm is not None:
+            perm = Permutation(tuple(int(i) - 1 for i in perm.split()))
+        found.append((g, perm))
+    return found
 
 
 class TestConvert:
@@ -120,6 +176,49 @@ class TestCanon:
         perm = Permutation(tuple(int(i) - 1 for i in perm_text.split()))
         g = decode_graph6(CYCLE5_ATOM)
         assert apply_permutation(g, perm) == decode_graph6(atom)
+
+    @pytest.mark.parametrize("with_perm", [False, True], ids=["plain", "perm"])
+    @pytest.mark.parametrize("fmt", CANON_FMTS)
+    def test_every_fmt_writes_the_canonical_form(self, capsys, monkeypatch,
+                                                 fmt, with_perm):
+        stdin = "".join(graph_text(fmt, g) for g in FIVE_VERTEX_INPUTS)
+        code, out, err = cli(capsys, monkeypatch,
+                             ["canon", "--n", "5", "--fmt", fmt]
+                             + ["--perm"] * with_perm, stdin=stdin)
+        assert (code, err) == (0, "")
+        found = read_canon_output(fmt, 5, with_perm, out)
+        assert len(found) == len(FIVE_VERTEX_INPUTS)
+        for g, (h, perm) in zip(FIVE_VERTEX_INPUTS, found):
+            assert h == canonize(g).canonic
+            if with_perm:
+                assert apply_permutation(g, perm) == h
+            else:
+                assert perm is None
+
+    @pytest.mark.parametrize("fmt,calls", [
+        ("graph6", 0), ("adj-list", 0), ("edge-list", 0), ("adj-matrix", 1)])
+    def test_one_parse_and_one_render_per_input(self, capsys, monkeypatch,
+                                                fmt, calls):
+        stdin = "".join(graph_text(fmt, g) for g in FIVE_VERTEX_INPUTS)
+        counts = Counter()
+        from_matrix, to_matrix = Graph.from_matrix, Graph.to_matrix
+
+        def counted_from_matrix(matrix):
+            counts["from_matrix"] += 1
+            return from_matrix(matrix)
+
+        def counted_to_matrix(g):
+            counts["to_matrix"] += 1
+            return to_matrix(g)
+
+        monkeypatch.setattr(Graph, "from_matrix",
+                            staticmethod(counted_from_matrix))
+        monkeypatch.setattr(Graph, "to_matrix", counted_to_matrix)
+        code, _, _ = cli(capsys, monkeypatch,
+                         ["canon", "--n", "5", "--fmt", fmt], stdin=stdin)
+        assert code == 0
+        per_input = calls * len(FIVE_VERTEX_INPUTS)
+        assert counts == Counter(from_matrix=per_input, to_matrix=per_input)
 
 
 class TestIso:

@@ -113,6 +113,19 @@ class TestGraphValue:
         with pytest.raises(GraphError, match="out of range for n=5"):
             g.delete_vertex(v)
 
+    @pytest.mark.parametrize("u,v", [(-1, 0), (0, 5), (0, -1), (3, 0),
+                                     (True, 2), (0, 2.0), (None, 0)])
+    def test_has_edge_rejects_a_non_vertex(self, u, v):
+        g = Graph.from_edges(3, [(0, 2)])
+        with pytest.raises(GraphError, match="out of range for n=3"):
+            g.has_edge(u, v)
+
+    @pytest.mark.parametrize("u", [-1, 3, True, 2.0, None])
+    def test_degree_rejects_a_non_vertex(self, u):
+        g = Graph.from_edges(3, [(0, 2)])
+        with pytest.raises(GraphError, match="out of range for n=3"):
+            g.degree(u)
+
 
 class TestConvert:
     def test_graph6_to_matrix_known_atom(self):
@@ -219,6 +232,11 @@ class TestApplyPermutation:
     def test_not_a_bijection(self, bad):
         with pytest.raises(GraphError):
             Permutation(bad)
+
+    @pytest.mark.parametrize("i", [-1, 3, True, 1.0, None])
+    def test_call_rejects_a_non_point(self, i):
+        with pytest.raises(GraphError, match="out of range for n=3"):
+            Permutation((1, 0, 2))(i)
 
     def test_list_map_stored_as_tuple(self):
         p = Permutation([1, 0])

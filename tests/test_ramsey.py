@@ -208,6 +208,13 @@ class TestEncoding:
             with pytest.raises(KeyError):
                 evm[pair]
 
+    @pytest.mark.parametrize("key", [
+        (0, 2.0), (0, True), (False, 1), (0,), (0, 1, 2), 5, (0, "a"), "ab",
+        None, {0: 1, 1: 2}], ids=repr)
+    def test_edge_var_map_key_is_a_pair_of_distinct_vertices(self, key):
+        with pytest.raises(KeyError):
+            EdgeVarMap(4)[key]
+
     @pytest.mark.parametrize("n", [-1, 2.5, True, "5", None])
     def test_edge_var_map_rejects_bad_vertex_count(self, n):
         with pytest.raises(GraphError):
