@@ -7,6 +7,7 @@ per vertex, which keeps neighbourhood operations cheap for the search code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -260,17 +261,47 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
 
 
 def _relabel_rows(rows, pos) -> tuple[int, ...]:
-    """Adjacency rows with vertex u moved to position pos[u]."""
-    bit = [1 << p for p in pos]
+    """Adjacency rows with vertex u moved to position pos[u].
+
+    Row u goes to packed row pos[u], and one transpose turns column v, the
+    positions of v's neighbours, into packed row v.  That is v's relabelled
+    row only because the rows are symmetric: it is stored at pos[v]."""
+    offsets, mask, swaps = _packing(len(rows))
+    x = _transpose(sum(map(int.__lshift__, rows,
+                           map(offsets.__getitem__, pos))), swaps)
     out = [0] * len(rows)
-    for u, row in enumerate(rows):
-        r = 0
-        while row:
-            low = row & -row
-            r |= bit[low.bit_length() - 1]
-            row ^= low
-        out[pos[u]] = r
+    for p, off in zip(pos, offsets):
+        out[p] = x >> off & mask
     return tuple(out)
+
+
+@functools.cache
+def _packing(n: int):
+    """(offsets, row mask, swaps) of an n-row bit matrix packed in one int,
+    row r at bit offsets[r] = r*W, W the least power of two >= n.
+
+    The W x W matrix is tiled by 2s x 2s blocks, and each swap (s, m)
+    exchanges the top-right and bottom-left s x s quarters of every tile:
+    m marks the top-right bits, and each one's partner lies s*(W-1) bits
+    above it.  Built on first use, for any n."""
+    w = 1 << max(n - 1, 0).bit_length()
+    swaps = []
+    s = w >> 1
+    while s:
+        right = sum(1 << c for c in range(w) if c & s)
+        swaps.append((s * (w - 1),
+                      sum(right << r * w for r in range(w) if not r & s)))
+        s >>= 1
+    return tuple(range(0, n * w, w)), (1 << w) - 1, tuple(swaps)
+
+
+def _transpose(x: int, swaps) -> int:
+    """The packed W x W bit matrix x transposed, by log2(W) delta swaps
+    (Warren, Hacker's Delight, 2nd ed., section 7-3)."""
+    for s, m in swaps:
+        t = ((x >> s) ^ x) & m
+        x ^= t ^ (t << s)
+    return x
 
 
 def _upper_bits(rows, order) -> int:

@@ -5,24 +5,40 @@ The size header is one byte n + 63 for n <= 62, and "~" plus three bytes
 body packs the upper adjacency triangle in column order
 (0,1),(0,2),(1,2),(0,3),... into big-endian 6-bit groups, each offset by
 63: base64 with another alphabet, so the encoder turns the bits into
-characters with one binascii call and one translation table.
+characters with one binascii call and one translation table, and the
+decoder reads them back the same way.  The decoder reverses the bits of
+each byte once, so graph6 bit i is bit i of one int; it places column v,
+v's lower neighbours, at row v of a packed bit matrix and ORs in the
+transpose (graph._transpose) for the upper ones.
 Line streams are newline-terminated bare atoms, byte-compatible with the
 gtools geng/shortg programs.
 """
 
 from __future__ import annotations
 
-from binascii import b2a_base64
+import re
+from binascii import a2b_base64, b2a_base64
 from typing import Iterable, Iterator
 
-from .graph import DEFAULT_VERTEX_CAP, Graph, GraphError, VertexCapExceeded
+from .graph import (
+    DEFAULT_VERTEX_CAP,
+    Graph,
+    GraphError,
+    VertexCapExceeded,
+    _REV8,
+    _packing,
+    _transpose,
+)
 
 STREAM_HEADER = ">>graph6<<"
 
-# base64 digit i -> graph6 character 63 + i
-_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)))
+# base64 digit i <-> graph6 character 63 + i
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_FROM_GRAPH6 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+
+# the first character of a str that is not a graph6 character
+_NOT_GRAPH6 = re.compile(r"[^?-~]").search
 
 
 class Graph6Error(GraphError):
@@ -64,9 +80,10 @@ def decode_graph6(atom: str) -> Graph:
         atom = atom[len(STREAM_HEADER):]
     if not atom:
         raise Graph6Error("empty graph6 atom")
-    for ch in atom:
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"character {ch!r} outside graph6 byte range")
+    bad = _NOT_GRAPH6(atom)
+    if bad:
+        raise Graph6Error(
+            f"character {bad.group()!r} outside graph6 byte range")
     n, start = _read_size(atom)
     nbits = n * (n - 1) // 2
     body = atom[start:]
@@ -78,28 +95,22 @@ def decode_graph6(atom: str) -> Graph:
     if n > DEFAULT_VERTEX_CAP:
         raise VertexCapExceeded(
             f"n={n} exceeds vertex cap {DEFAULT_VERTEX_CAP}")
-    bits = 0
-    for ch in body:
-        bits = bits << 6 | (ord(ch) - 63)
-    pad = -nbits % 6
-    if pad and bits & ((1 << pad) - 1):
+    # the body's bits, graph6 bit i at bit i: base64 digits, each byte's
+    # bits reversed and the bytes read least significant first
+    raw = a2b_base64(body.encode().translate(_FROM_GRAPH6)
+                     + b"A" * (-len(body) % 4))
+    bits = int.from_bytes(raw.translate(_REV8), "little")
+    if bits >> nbits:
         raise Graph6Error("nonzero padding bits")
-    bits >>= pad
-    rows = [0] * n
-    pos = nbits
-    for v in range(1, n):
-        # column v holds (0,v) .. (v-1,v), (v-1,v) in its lowest bit
-        pos -= v
-        col = bits >> pos
-        bits ^= col << pos
-        u = v
-        while col:
-            u -= 1
-            if col & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            col >>= 1
-    return Graph._trusted(n, tuple(rows))
+    # column v holds (0,v) .. (v-1,v) from bit v(v-1)/2 up: as packed row
+    # v it is v's lower neighbours, and the transpose adds the upper ones
+    offsets, mask, swaps = _packing(n)
+    lower = 0
+    for v, off in enumerate(offsets):
+        lower |= (bits & ((1 << v) - 1)) << off
+        bits >>= v
+    x = lower | _transpose(lower, swaps)
+    return Graph._trusted(n, tuple([x >> off & mask for off in offsets]))
 
 
 def write_graph6_lines(graphs: Iterable[Graph]) -> str:

@@ -223,7 +223,9 @@ def encode_ramsey(inst: RamseyInstance) -> tuple[EdgeVarMap, sat.CnfFormula]:
         # must be unsatisfiable, expressed with one throwaway variable
         next_var += 1
         clauses = [c for c in clauses if c] + [[next_var], [-next_var]]
-    return evm, sat.CnfFormula.of(max(next_var, 1), clauses)
+    # no clause is empty or names a variable twice: of() would keep them
+    return evm, sat.CnfFormula._trusted(max(next_var, 1),
+                                        tuple(map(tuple, clauses)))
 
 
 def decode_model(evm: EdgeVarMap, model: sat.Model) -> Graph:

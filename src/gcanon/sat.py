@@ -61,6 +61,18 @@ class CnfFormula:
     def of(num_vars: int, int_clauses: Iterable[Iterable[int]]) -> "CnfFormula":
         return CnfFormula(num_vars, tuple(int_clauses))
 
+    @staticmethod
+    def _trusted(num_vars: int,
+                 clauses: tuple[tuple[int, ...], ...]) -> "CnfFormula":
+        """Formula from clauses the library derived, already in the form
+        of() gives, without the checks of __post_init__: non-empty tuples
+        of int literals on variables 1..num_vars, no literal twice and no
+        tautology."""
+        f = object.__new__(CnfFormula)
+        object.__setattr__(f, "num_vars", num_vars)
+        object.__setattr__(f, "clauses", clauses)
+        return f
+
 
 @dataclass(frozen=True, slots=True)
 class Model:

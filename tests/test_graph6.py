@@ -1,16 +1,20 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from gcanon.graph import (
     Graph,
     VertexCapExceeded,
+    _packing,
     _relabel_rows,
+    _transpose,
     _upper_bits,
 )
 from gcanon.graph6 import (
     Graph6Error,
+    _read_size,
     decode_graph6,
     encode_graph6,
     read_graph6_lines,
@@ -113,6 +117,32 @@ def test_rejects_nonzero_padding_strict():
         decode_graph6(bad)
 
 
+# n(n-1)/2 mod 6 is 0, 1, 3 or 4: 0, 5, 3 or 2 padding bits
+@pytest.mark.parametrize("n,pad", [
+    (5, 2), (8, 2), (3, 3), (6, 3), (63, 3), (2, 5), (11, 5), (14, 5)])
+def test_rejects_each_padding_bit(n, pad):
+    assert -(n * (n - 1) // 2) % 6 == pad
+    for g in (Graph.empty(n), Graph.from_edges(
+            n, itertools.combinations(range(n), 2))):
+        atom = encode_graph6(g)
+        assert decode_graph6(atom) == g
+        for b in range(pad):
+            bad = atom[:-1] + chr(63 + ((ord(atom[-1]) - 63) | 1 << b))
+            with pytest.raises(Graph6Error, match="nonzero padding bits"):
+                decode_graph6(bad)
+
+
+@pytest.mark.parametrize("bad", ["\u00e9", "\u0100", "\ud800", "\x01", "\x7f"],
+                         ids=ascii)
+def test_bad_character_error_names_the_first(bad):
+    # after a valid prefix, and ahead of a second bad character
+    message = re.escape(f"character {bad!r} outside graph6 byte range")
+    for atom in ["DqK" + bad, "Dq" + bad + "K", "D" + bad + "\x01K",
+                 ">>graph6<<" + bad + "\u00e9"]:
+        with pytest.raises(Graph6Error, match=message):
+            decode_graph6(atom)
+
+
 def test_stream_header_tolerated_on_input():
     assert decode_graph6(">>graph6<<DqK").to_matrix() == CYCLE5_MATRIX
 
@@ -152,6 +182,62 @@ def per_bit_relabel(rows, pos):
             if rows[u] >> v & 1:
                 out[pos[u]] |= 1 << pos[v]
     return tuple(out)
+
+
+def per_bit_transpose(rows):
+    """Reference transpose: row v of the result is column v of rows."""
+    n = len(rows)
+    return [sum((rows[u] >> v & 1) << u for u in range(n)) for v in range(n)]
+
+
+def per_bit_decode(atom):
+    """Reference decoder body: one shift per character, then one step per
+    bit of each column; the atom is well formed."""
+    n, start = _read_size(atom)
+    nbits = n * (n - 1) // 2
+    bits = 0
+    for ch in atom[start:]:
+        bits = bits << 6 | (ord(ch) - 63)
+    bits >>= -nbits % 6
+    rows = [0] * n
+    pos = nbits
+    for v in range(1, n):
+        # column v holds (0,v) .. (v-1,v), (v-1,v) in its lowest bit
+        pos -= v
+        col = bits >> pos
+        bits ^= col << pos
+        u = v
+        while col:
+            u -= 1
+            if col & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            col >>= 1
+    return Graph(n, tuple(rows))
+
+
+def test_transpose_matches_per_bit_reference():
+    # matrices that are not symmetric, past 64 rows: no size has a cap
+    rng = random.Random(83)
+    for n in range(131):
+        offsets, mask, swaps = _packing(n)
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        packed = sum(r << off for r, off in zip(rows, offsets))
+        assert _transpose(packed, swaps) == sum(
+            r << off for r, off in zip(per_bit_transpose(rows), offsets))
+
+
+def test_relabel_matches_per_bit_reference_past_the_vertex_cap():
+    rng = random.Random(89)
+    for n in range(65, 101):
+        rows = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < 0.5:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        pos = list(range(n))
+        rng.shuffle(pos)
+        assert _relabel_rows(rows, pos) == per_bit_relabel(rows, pos)
 
 
 def seeded_graphs(density, seed):
@@ -197,7 +283,18 @@ def test_packing_kernels_match_per_bit_reference(density):
                 == per_bit_upper(g.rows, labeling))
         assert (_relabel_rows(g.rows, labeling)
                 == per_bit_relabel(g.rows, labeling))
-        assert decode_graph6(encode_graph6(g)) == g
+        atom = encode_graph6(g)
+        assert decode_graph6(atom) == per_bit_decode(atom) == g
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+def test_decoding_matches_networkx(density):
+    nx = pytest.importorskip("networkx")
+    for g in seeded_graphs(density, 97):
+        G = nx.from_graph6_bytes(encode_graph6(g).encode())
+        assert sorted(G.nodes) == list(range(g.n))
+        assert decode_graph6(encode_graph6(g)) == Graph.from_edges(
+            g.n, G.edges)
 
 
 @pytest.mark.parametrize("density", DENSITIES)

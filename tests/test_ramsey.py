@@ -235,6 +235,15 @@ class TestEncoding:
         ints = [list(c) for c in f.clauses]
         assert [-evm[(0, 2)], evm[(1, 2)]] in ints
 
+    @pytest.mark.parametrize("s,t,n", [
+        (3, 5, 10), (3, 5, 11), (4, 4, 8), (3, 6, 9), (3, 3, 5), (1, 3, 4),
+        (2, 2, 3), (1, 1, 3), (3, 5, 0), (3, 5, 1)])
+    def test_encoder_clauses_need_no_normalizing(self, s, t, n):
+        # the encoder skips CnfFormula's checks: its clauses must already
+        # be what they would make of them, the unsatisfiable branch included
+        _, f = encode_ramsey(RamseyInstance(s, t, n))
+        assert f == sat.CnfFormula.of(f.num_vars, f.clauses)
+
     def test_unsatisfiable_corner(self):
         # s = 1 forbids every single vertex: no coloring exists for n >= 1
         evm, f = encode_ramsey(RamseyInstance(1, 3, 2))
