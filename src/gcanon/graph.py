@@ -263,13 +263,22 @@ def apply_permutation(g: Graph, p: Permutation) -> Graph:
 def _relabel_rows(rows, pos) -> tuple[int, ...]:
     """Adjacency rows with vertex u moved to position pos[u].
 
-    Row u goes to packed row pos[u], and one transpose turns column v, the
-    positions of v's neighbours, into packed row v.  That is v's relabelled
-    row only because the rows are symmetric: it is stored at pos[v]."""
-    offsets, mask, swaps = _packing(len(rows))
-    x = _transpose(sum(map(int.__lshift__, rows,
-                           map(offsets.__getitem__, pos))), swaps)
-    out = [0] * len(rows)
+    Row u is placed at position pos[u], and the placed rows are packed
+    last first by Horner's rule, x = x << W | row, so position p sits at
+    packed row p.  One transpose turns column v, the positions of v's
+    neighbours, into packed row v.  That is v's relabelled row only
+    because the rows are symmetric: it is stored at pos[v]."""
+    n = len(rows)
+    offsets, mask, swaps = _packing(n)
+    w = mask.bit_length()
+    placed = [0] * n
+    for u, p in enumerate(pos):
+        placed[p] = rows[u]
+    x = 0
+    for row in reversed(placed):
+        x = x << w | row
+    x = _transpose(x, swaps)
+    out = [0] * n
     for p, off in zip(pos, offsets):
         out[p] = x >> off & mask
     return tuple(out)
@@ -306,20 +315,28 @@ def _transpose(x: int, swaps) -> int:
 
 def _upper_bits(rows, order) -> int:
     """Upper-triangle bits of the graph relabeled so order[i] sits at
-    position i, in graph6 order, first bit most significant; each column
-    is packed in a small int, so the big int shifts once per column.
+    position i, in graph6 order, first bit most significant.
+
+    The rows are packed in order by Horner's rule, x = x << W | row, so
+    row order[i] sits at packed row n-1-i.  One transpose then makes each
+    packed row v the relabelled row of v, mirrored: its neighbour at
+    position i is at bit n-1-i.  Column j, entries (0,j) .. (j-1,j), is
+    the top j of the n bits of packed row order[j], and the big int
+    shifts once per column.
 
     It serves the canonizer's leaf certificates and memo keys, which need
     an order; graph6 and Graph.upper_triangle_bits read the rows as they
     are, without it."""
-    picked = [rows[u] for u in order]
+    n = len(order)
+    offsets, mask, swaps = _packing(n)
+    w = mask.bit_length()
+    x = 0
+    for v in order:
+        x = x << w | rows[v]
+    x = _transpose(x, swaps)
     bits = 0
-    for j in range(1, len(picked)):
-        w = order[j]
-        col = 0
-        for row in picked[:j]:
-            col = col << 1 | (row >> w & 1)
-        bits = bits << j | col
+    for j in range(1, n):
+        bits = bits << j | (x >> offsets[order[j]] & mask) >> (n - j)
     return bits
 
 

@@ -240,6 +240,23 @@ def test_relabel_matches_per_bit_reference_past_the_vertex_cap():
         assert _relabel_rows(rows, pos) == per_bit_relabel(rows, pos)
 
 
+@pytest.mark.parametrize("density", [0, 0.5, 1])
+def test_relabel_kernels_match_per_bit_reference_to_130(density):
+    # raw symmetric rows, the empty and complete graphs included, in
+    # shuffled orders: one code path for every n, under and over the cap
+    rng = random.Random(101)
+    for n in range(131):
+        rows = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        order = list(range(n))
+        rng.shuffle(order)
+        assert _upper_bits(rows, order) == per_bit_upper(rows, order)
+        assert _relabel_rows(rows, order) == per_bit_relabel(rows, order)
+
+
 def seeded_graphs(density, seed):
     """One seeded graph of the given edge density for each n = 0..64."""
     rng = random.Random(seed)

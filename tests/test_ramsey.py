@@ -186,6 +186,26 @@ class TestGenerateTestReduce:
                    for g in gen_ramsey_gt(inst)) == labelled
 
 
+    @pytest.mark.parametrize("n,labelled", [(7, 13842), (8, 17640)])
+    def test_34_labelled_count_matches_unbroken_cnf(self, n, labelled):
+        # Without the row-lex clauses, the models on the edge variables
+        # are all labelled (3,4;n) graphs.  Every class of order |Aut|
+        # has n!/|Aut| of them, and |Aut| counts the leaves whose
+        # certificates equal the first one's: a wrong certificate shows.
+        inst = RamseyInstance(3, 4, n)
+        evm = EdgeVarMap(n)
+        clauses = [[evm[p] for p in itertools.combinations(vs, 2)]
+                   for vs in itertools.combinations(range(n), 3)]
+        clauses += [[-evm[p] for p in itertools.combinations(vs, 2)]
+                    for vs in itertools.combinations(range(n), 4)]
+        f = sat.CnfFormula.of(evm.num_edge_vars, clauses)
+        models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
+        assert len(models) == labelled
+        for gen in (gen_ramsey_gt, gen_ramsey_cg):
+            assert sum(math.factorial(n) // canonize(g).group_size
+                       for g in gen(inst)) == labelled
+
+
 class TestEncoding:
     def test_edge_var_map_layout(self):
         evm = EdgeVarMap(5)
