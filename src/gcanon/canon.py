@@ -10,8 +10,11 @@ Refinement stops at a discrete partition and never queues the last
 sub-cell of a split cell, which could split nothing; the cells and their
 order stay those of the full queue (the FIFO argument is at _refine).
 
-Automorphisms discovered as certificate collisions with the first leaf drive
-two prunings of the search:
+Three rules prune the search.  Each skips only subtrees that an
+automorphism fixing the node's path maps onto subtrees already searched,
+so the least certificate and its first leaf stay those of the whole tree.
+The first two use the automorphisms discovered as certificate collisions
+with the first leaf:
 
 - orbit pruning: each search node keeps the orbits of the generators that
   fix its path, absorbs every generator once, and skips a child whose
@@ -20,9 +23,27 @@ two prunings of the search:
   returns at once to the deepest node its path shares with the first path.
   The automorphism fixes that shared prefix and maps the rest of the
   abandoned subtree onto the first-path subtree already explored, so every
-  skipped leaf repeats a certificate already seen.  Empty, complete and
-  complete bipartite graphs then take at most n(n+1)/2 nodes instead of
-  growing roughly as n^5.5.
+  skipped leaf repeats a certificate already seen.  With these two rules
+  alone, empty, complete and complete bipartite graphs take at most
+  n(n+1)/2 nodes instead of growing roughly as n^5.5.
+
+The third reads automorphisms off the refinement, with no leaf:
+
+- homogeneous target: a first-path node whose first child has exactly
+  one cell more than the node, so that the individualized vertex v split
+  nothing but itself off the target T, tries no other child.  Let D be
+  any cell of the node other than T.  {v} split neither D nor T - {v},
+  so v is adjacent to all of D or to none of it, and to all of T - {v}
+  or to none of it.  The node's partition is equitable, so every vertex
+  of T has as many neighbours in D, and in T, as v: T and D are joined
+  completely or not at all, and T is a clique or an independent set.
+  Every permutation of T that fixes the other vertices is therefore an
+  automorphism that fixes the path, and it maps the first child's
+  subtree onto each other child's.  The node records the transposition
+  (T[0] T[1]), and the orbit of T[0] under the automorphisms that fix
+  the path is all of T.  Empty and complete graphs take n nodes, the
+  first path alone; k > 1 disjoint copies of K_m take
+  (k^2 + 2k - 2)(m - 1) + 1.
 
 The first leaf's certificate is computed only when a second leaf arrives
 to be compared with it, so a search whose root partition is already
@@ -31,11 +52,12 @@ discrete, one leaf, computes none.
 The reported vertex orbits are those of all generators found.  group_size,
 |Aut|, is the product over the first-path nodes of the size of the orbit of
 the first-path child under the automorphisms that fix the path so far,
-counted as the node's children are tried or pruned; jump-back never cuts a
-first-path node short, so every count is complete.  Both match brute force
-on every labelled 5-vertex graph and every 6-vertex class, plain and with a
-2-cell coloring (tests/test_canon.py); every merge is a true automorphism,
-so the orbits are sound at any size.
+counted as the node's children are tried or pruned, or all of a
+homogeneous target; jump-back never cuts a first-path node short, so every
+count is complete.  Both match brute force on every labelled 5-vertex graph
+and every 6-vertex class, plain and with a 2-cell coloring
+(tests/test_canon.py); every merge is a true automorphism, so the orbits
+are sound at any size.
 """
 
 from __future__ import annotations
@@ -218,6 +240,14 @@ class _CanonSearch:
             path.append(v)
             self._descend(child, path)
             path.pop()
+            if first and not k and len(child) == len(cells) + 1:
+                # {v} split no cell, so every permutation of target is an
+                # automorphism that fixes path (see the module docstring).
+                gen = list(range(self.n))
+                gen[v], gen[target[1]] = target[1], v
+                self.generators.append(tuple(gen))
+                self.group_size *= len(target)
+                return
             if self.jump is not None:
                 if len(path) > self.jump:
                     return

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -369,3 +373,31 @@ def test_help_still_exits_0(capsys, monkeypatch):
         cli(capsys, monkeypatch, ["geng", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: gcanon geng")
+
+
+SIX_VERTEX_ATOMS = "".join(encode_graph6(g) + "\n"
+                           for g in all_nonisomorphic(6))
+
+
+@pytest.mark.parametrize("argv", [
+    ["geng", "6"],
+    ["canon", "--n", "6"],
+    ["convert", "--n", "6", "--from", "graph6", "--to", "adj-matrix"],
+    ["iso", "--n", "5", CYCLE5_ATOM, CYCLE5_ATOM],
+], ids=["geng", "canon", "convert", "iso"])
+def test_closed_stdout_pipe_exits_1_quietly(argv):
+    # The reader has gone before the first write (geng, canon, convert)
+    # or before the flush at exit (iso's one line): exit 1, no traceback.
+    src = Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "gcanon",
+             *argv],
+            input=SIX_VERTEX_ATOMS, stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
