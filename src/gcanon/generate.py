@@ -1,12 +1,12 @@
 """Isomorph-free generation and canonical deduplication.
 
 Native analogs of the gtools programs geng (all non-isomorphic graphs on n
-vertices) and shortg (remove isomorphic duplicates), built on the
-extend-and-reduce loop: extend every canonical graph by one vertex in all
-2^n ways, filter, canonize, sort, dedup; a Stats sink times each level.
-Each reduce step hands canonical_form a memo of its own, so children that
-agree up to the root refinement are searched once, and no state outlives
-the call.
+vertices) and shortg (remove isomorphic duplicates), built on one level
+loop, grow: extend every canonical graph by one vertex in all 2^n ways,
+filter, then reduce; a Stats sink times each level.  reduce_classes is
+the one reduce step of every generator here and in ramsey.py: it hands
+canonical_form a memo of its own, so graphs that agree up to the root
+refinement are searched once, and no state outlives the call.
 """
 
 from __future__ import annotations
@@ -44,16 +44,21 @@ class Stats:
         self._start = time.perf_counter()
 
 
-def sort_canonical(graphs: Iterable[Graph]) -> list[Graph]:
-    """The reduce step: drop exact duplicates, then sort by graph6 encoding.
+def reduce_classes(graphs: Iterable[Graph],
+                   stats: Optional[Stats] = None) -> list[Graph]:
+    """The reduce step: canonize each graph, through a stats sink's timed
+    canonical_form when one is given, with one memo for the batch; keep
+    the first copy of each canonical graph and sort by graph6 encoding.
 
-    graphs is consumed lazily, so a generator of canonical forms is reduced
-    without ever holding all of them at once.  Duplicates are keyed by
-    rows (whose length is n), so only distinct graphs are encoded; the
-    first copy is kept, so that its rows tuple is also the key."""
+    graphs is consumed lazily, so a generator is reduced without ever
+    holding all of its graphs at once.  Duplicates are keyed by rows
+    (whose length is n), so only distinct graphs are encoded."""
+    canon = canonical_form if stats is None else stats.canonical_form
+    memo = {}
     seen = {}
     for g in graphs:
-        seen.setdefault(g.rows, g)
+        c = canon(g, memo)
+        seen.setdefault(c.rows, c)
     return sorted(seen.values(), key=encode_graph6)
 
 
@@ -61,14 +66,23 @@ def extend_and_reduce(graphs: Iterable[Graph],
                       keep: Optional[Callable[[Graph], bool]] = None,
                       stats: Optional[Stats] = None) -> list[Graph]:
     """One extend-test-reduce step: all one-vertex extensions of the given
-    graphs, filtered by keep, canonized, sorted, deduplicated.  They may be
-    any graphs: each child is canonized, so the output classes depend only
-    on the input classes; one memo serves the step's children.  A stats
-    sink canonizes; the caller, which knows n, closes the level."""
-    canon = canonical_form if stats is None else stats.canonical_form
-    memo = {}
-    return sort_canonical(canon(h, memo) for g in graphs
-                          for h in extensions(g) if keep is None or keep(h))
+    graphs, filtered by keep, then reduced.  They may be any graphs: each
+    child is canonized, so the output classes depend only on the input
+    classes.  The caller, which knows n, closes the level."""
+    return reduce_classes((h for g in graphs for h in extensions(g)
+                           if keep is None or keep(h)), stats)
+
+
+def grow(n: int, keep: Optional[Callable[[Graph], bool]] = None,
+         stats: Optional[Stats] = None) -> list[Graph]:
+    """The level loop: extend_and_reduce n times from the empty graph,
+    with a stats sink getting one row per vertex count 1..n."""
+    acc = [Graph.empty(0)]
+    for i in range(1, n + 1):
+        acc = extend_and_reduce(acc, keep, stats)
+        if stats is not None:
+            stats.level(i, acc)
+    return acc
 
 
 def all_nonisomorphic(n: int, stats: Optional[Stats] = None) -> list[Graph]:
@@ -78,12 +92,7 @@ def all_nonisomorphic(n: int, stats: Optional[Stats] = None) -> list[Graph]:
     if n > MAX_GENERATE_N:
         raise GraphError(
             f"n={n} beyond the practical generation limit {MAX_GENERATE_N}")
-    acc = [Graph.empty(0)]
-    for i in range(1, n + 1):
-        acc = extend_and_reduce(acc, stats=stats)
-        if stats is not None:
-            stats.level(i, acc)
-    return acc
+    return grow(n, stats=stats)
 
 
 def dedup_canonical(graphs: Iterable[Graph]) -> list[Graph]:
@@ -92,5 +101,4 @@ def dedup_canonical(graphs: Iterable[Graph]) -> list[Graph]:
     graphs = list(graphs)
     if len({g.n for g in graphs}) > 1:
         raise GraphError("mixed vertex counts in dedup input")
-    memo = {}
-    return sort_canonical(canonical_form(g, memo) for g in graphs)
+    return reduce_classes(graphs)

@@ -25,10 +25,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import sat
+from .generate import Stats, grow, reduce_classes
+from .graph import Graph, GraphError, _check_vertex_count, k_subsets
+
+# Not called here: perfbench/tracer.py wraps these names in this module.
 from .canon import canonical_form
-from .generate import Stats, extend_and_reduce, sort_canonical
-from .graph import Graph, GraphError, extensions, k_subsets
-from .graph6 import encode_graph6  # unused; perfbench/tracer.py wraps it here
+from .generate import extend_and_reduce
+from .graph import extensions
+from .graph6 import encode_graph6
 
 
 @dataclass(frozen=True)
@@ -135,11 +139,11 @@ def _new_vertex_max_degree(h: Graph) -> bool:
     return max(map(int.bit_count, rows)) == rows[-1].bit_count()
 
 
-def gen_ramsey_gt(inst: RamseyInstance, *, canonize: bool = True,
-                  ramsey_filter: bool = True,
+def gen_ramsey_gt(inst: RamseyInstance, *,
                   stats: Optional[Stats] = None) -> list[Graph]:
     """Generate-test-reduce: grow from the empty graph one vertex at a time,
     keeping Ramsey extensions and reducing to canonical representatives.
+    A stats sink gets one row per vertex count 1..n.
 
     Only a child whose new vertex has maximum degree is canonized, as in
     step 1 of McKay's canonical deletion; the dedup stays.  No class is
@@ -148,28 +152,11 @@ def gen_ramsey_gt(inst: RamseyInstance, *, canonize: bool = True,
     and the extension of its representative by v's neighbourhood is a copy
     of G whose new vertex has maximum degree.  The rule needs complete
     levels, which extend_and_reduce does not assume of its input, so it
-    lives here.
-
-    The two keyword flags disable the reduce and test steps (then labeled
-    solutions, all non-isomorphic graphs, or all labeled graphs come out).
-    A stats sink gets one row per vertex count 1..n.
+    joins the Ramsey test in the keep that gt gives grow.
     """
-    acc = [Graph.empty(0)]
-    for i in range(inst.n):
-        keep = _extension_keep(inst.s, inst.t) if ramsey_filter else None
-        if canonize:
-            if keep is None:
-                accept = _new_vertex_max_degree
-            else:
-                def accept(h):
-                    return keep(h) and _new_vertex_max_degree(h)
-            acc = extend_and_reduce(acc, accept, stats=stats)
-        else:
-            acc = sort_canonical(h for g in acc for h in extensions(g)
-                                 if keep is None or keep(h))
-        if stats is not None:
-            stats.level(i + 1, acc)
-    return acc
+    keep = _extension_keep(inst.s, inst.t)
+    return grow(inst.n, lambda h: keep(h) and _new_vertex_max_degree(h),
+                stats)
 
 
 def _lex_leq(xs, ys, next_var: int, clauses) -> int:
@@ -288,13 +275,11 @@ def gen_ramsey_cg(inst: RamseyInstance, *,
     No class is lost: the least labelling x of a class meets both, and it
     is a model, since the row-lex clauses say x <=lex (i j)x for every
     transposition (i j), which the least x satisfies."""
-    canon = canonical_form if stats is None else stats.canonical_form
+    _check_vertex_count(inst.n)
     evm, formula = encode_ramsey(inst)
-    memo = {}
     models = sat.solve_all(formula, range(1, evm.num_edge_vars + 1))
     decoded = (decode_model(evm, m) for m in models)
-    graphs = sort_canonical(canon(g, memo) for g in decoded
-                            if _may_be_lex_least(g))
+    graphs = reduce_classes(filter(_may_be_lex_least, decoded), stats)
     if stats is not None:
         stats.level(inst.n, graphs)
     return graphs

@@ -85,12 +85,9 @@ class Model:
         object.__setattr__(self, "values", bytes(self.values))
 
     def __getitem__(self, var: int) -> bool:
-        if var < 1:
-            raise KeyError(var)
-        try:
-            return self.values[var - 1] != 0
-        except IndexError:
-            raise KeyError(var) from None
+        if type(var) is not int or not 1 <= var <= len(self.values):
+            raise KeyError(var)  # bool and other keys too
+        return self.values[var - 1] != 0
 
 
 def _enumerate_projected(f: CnfFormula,

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gcanon.graph import Graph, Permutation, apply_permutation
+from gcanon.graph import Graph, Permutation, apply_permutation, extensions
 
 
 def all_graphs(n):
@@ -11,6 +11,18 @@ def all_graphs(n):
     for bits in range(1 << len(pairs)):
         yield Graph.from_edges(n, [p for i, p in enumerate(pairs)
                                    if bits >> i & 1])
+
+
+def labelled_graphs(n, keep=None):
+    """Every labelled graph on n vertices that keep accepts together with
+    each of its prefixes on vertices 0..k-1: one-vertex extensions grown
+    level by level with no reduce step.  Each labelled graph arises once,
+    from its prefix on n - 1 vertices, so a hereditary keep gives them all."""
+    level = [Graph.empty(0)]
+    for _ in range(n):
+        level = [h for g in level for h in extensions(g)
+                 if keep is None or keep(h)]
+    return level
 
 
 def brute_force_isomorphism(g1, g2):

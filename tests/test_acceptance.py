@@ -17,10 +17,15 @@ from gcanon.graph import Graph, Permutation, apply_permutation
 from gcanon.graph6 import decode_graph6, encode_graph6
 from gcanon.gtools import ToolSpec, ToolUnavailable, exec_bidi, exec_stream, \
     find_binary
-from gcanon.ramsey import RamseyInstance, gen_ramsey_cg, gen_ramsey_gt
+from gcanon.ramsey import (
+    RamseyInstance,
+    _extension_keep,
+    gen_ramsey_cg,
+    gen_ramsey_gt,
+)
 from gcanon import sat
 
-from .conftest import all_graphs, brute_force_isomorphism
+from .conftest import all_graphs, brute_force_isomorphism, labelled_graphs
 from .reference_graphs import (
     CANON_EXAMPLE_INPUT,
     CANON_EXAMPLE_OUTPUT,
@@ -91,11 +96,11 @@ def test_04_isomorphism_examples():
 def test_05_party_problem():
     assert len(gen_ramsey_gt(RamseyInstance(3, 3, 5))) == 1
     assert gen_ramsey_gt(RamseyInstance(3, 3, 6)) == []
-    inst5 = RamseyInstance(3, 3, 5)
-    assert len(gen_ramsey_gt(inst5, canonize=False)) == 12
-    assert len(gen_ramsey_gt(inst5, ramsey_filter=False)) == 34
-    assert len(gen_ramsey_gt(inst5, canonize=False, ramsey_filter=False)) \
-        == 1024
+    # The labelled (3,3;5) colorings, the classes and the labelled graphs
+    # on five vertices.
+    assert len(labelled_graphs(5, _extension_keep(3, 3))) == 12
+    assert len(all_nonisomorphic(5)) == 34
+    assert len(labelled_graphs(5)) == 1024
     accept("party problem")
 
 

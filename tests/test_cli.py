@@ -341,6 +341,13 @@ class TestRamsey:
         assert code == 1
         assert "error:" in err
 
+    def test_cg_above_the_vertex_cap_is_one_error_line(self, capsys,
+                                                       monkeypatch):
+        code, out, err = cli(capsys, monkeypatch,
+                             ["ramsey", "cg", "2", "100", "65"])
+        assert (code, out) == (1, "")
+        assert err == "error: n=65 exceeds vertex cap 64\n"
+
 
 @pytest.mark.parametrize("argv", [
     ["shortg"],

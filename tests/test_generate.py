@@ -8,7 +8,7 @@ from gcanon.generate import (
     all_nonisomorphic,
     dedup_canonical,
     extend_and_reduce,
-    sort_canonical,
+    reduce_classes,
 )
 from gcanon.graph import Graph, GraphError, Permutation, apply_permutation
 from gcanon.graph6 import decode_graph6, encode_graph6
@@ -117,13 +117,34 @@ class TestDedupCanonical:
         assert dedup_canonical(graphs5) == all_nonisomorphic(5)
 
 
-def test_sort_canonical_drops_exact_duplicates(graphs5):
-    g = graphs5[100]
-    assert sort_canonical([g, g, graphs5[3]]) == \
-        sorted([g, graphs5[3]], key=encode_graph6)
+class TestReduceClasses:
+    def test_relabelled_copies_collapse_to_one_canonical_graph(self):
+        rng = random.Random(24)
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4),
+                                 (4, 5), (5, 6)])
+        copies = []
+        for _ in range(6):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            copies.append(apply_permutation(g, Permutation(tuple(perm))))
+        assert len(set(copies)) > 1
+        assert reduce_classes(copies) == [canonical_form(g)]
 
+    def test_drops_exact_duplicates(self, graphs5):
+        g, h = canonical_form(graphs5[100]), canonical_form(graphs5[3])
+        assert reduce_classes([g, g, h]) == sorted({g, h}, key=encode_graph6)
 
-def test_sort_canonical_accepts_graphs_built_from_list_rows():
-    g = Graph(2, [2, 1])
-    assert g.rows == (2, 1) and g == Graph(2, (2, 1))
-    assert sort_canonical([g, Graph(1, [0]), g]) == [Graph(1, (0,)), g]
+    def test_accepts_graphs_built_from_list_rows(self):
+        g = Graph(2, [2, 1])
+        assert g.rows == (2, 1) and g == Graph(2, (2, 1))
+        assert reduce_classes([g, Graph(1, [0]), g]) == [Graph(1, (0,)), g]
+
+    def test_sink_gives_the_same_classes_and_times_them(self, graphs5):
+        rows = []
+        sink = Stats(lambda *row: rows.append(row))
+        out = reduce_classes(graphs5, sink)
+        sink.level(5, out)
+        assert out == reduce_classes(graphs5) == all_nonisomorphic(5)
+        [(n, classes, seconds, canon_seconds)] = rows
+        assert (n, classes) == (5, 34)
+        assert 0 < canon_seconds <= seconds

@@ -9,11 +9,13 @@ from gcanon.generate import (
     all_nonisomorphic,
     dedup_canonical,
     extend_and_reduce,
+    grow,
 )
 from gcanon.graph import (
     Graph,
     GraphError,
     Permutation,
+    VertexCapExceeded,
     apply_permutation,
     extensions,
 )
@@ -22,15 +24,16 @@ from gcanon.ramsey import (
     RamseyInstance,
     _extension_keep,
     _may_be_lex_least,
+    _new_vertex_max_degree,
     decode_model,
     encode_ramsey,
     gen_ramsey_cg,
     gen_ramsey_gt,
     is_ramsey,
 )
-from gcanon import sat
+from gcanon import ramsey, sat
 
-from .conftest import all_graphs
+from .conftest import all_graphs, labelled_graphs
 from .reference_graphs import (
     CYCLE5_MATRIX,
     R35_CLASS_COUNTS,
@@ -120,9 +123,10 @@ class TestGenerateTestReduce:
             assert level == extend_and_reduce(prev, keep), (s, t, len(prev))
 
     def test_unfiltered_levels_are_all_graphs(self):
+        # The max-degree rule with no Ramsey test, on the shared level
+        # loop, loses no class of any graph.
         sink = LevelSink()
-        gen_ramsey_gt(RamseyInstance(3, 3, 7), ramsey_filter=False,
-                      stats=sink)
+        grow(7, _new_vertex_max_degree, sink)
         assert sink.levels == [all_nonisomorphic(n) for n in range(8)]
 
     @pytest.mark.parametrize("s, t, counts", [(3, 6, R36_CLASS_COUNTS),
@@ -141,12 +145,12 @@ class TestGenerateTestReduce:
         [g] = gen_ramsey_gt(RamseyInstance(3, 3, 5))
         assert g == canonical_form(C5)
 
-    def test_flag_combinations_on_five_vertices(self):
-        inst = RamseyInstance(3, 3, 5)
-        assert len(gen_ramsey_gt(inst, canonize=False)) == 12
-        assert len(gen_ramsey_gt(inst, ramsey_filter=False)) == 34
-        assert len(gen_ramsey_gt(inst, canonize=False,
-                                 ramsey_filter=False)) == 1024
+    def test_labelled_and_class_counts_on_five_vertices(self):
+        # The labelled (3,3;5) colorings, the classes and the labelled
+        # graphs on five vertices.
+        assert len(labelled_graphs(5, _extension_keep(3, 3))) == 12
+        assert len(all_nonisomorphic(5)) == 34
+        assert len(labelled_graphs(5)) == 1024
 
     def test_brute_force_agreement_small(self):
         for n in range(1, 6):
@@ -181,7 +185,7 @@ class TestGenerateTestReduce:
         # Each class of order |Aut| has n!/|Aut| labelled members, and
         # together the classes hold every labelled (3,5;n) graph.
         inst = RamseyInstance(3, 5, n)
-        assert len(gen_ramsey_gt(inst, canonize=False)) == labelled
+        assert len(labelled_graphs(n, _extension_keep(3, 5))) == labelled
         assert sum(math.factorial(n) // canonize(g).group_size
                    for g in gen_ramsey_gt(inst)) == labelled
 
@@ -307,6 +311,13 @@ class TestConstrainGenerateReduce:
         assert classes == len(out)
         assert 0 <= canon_seconds <= seconds
         assert out == gen_ramsey_cg(inst)
+
+    def test_rejects_n_above_the_vertex_cap_before_encoding(self,
+                                                            monkeypatch):
+        # (2,100;65) has one class, K65, which no Graph may hold.
+        monkeypatch.setattr(ramsey, "encode_ramsey", None)
+        with pytest.raises(VertexCapExceeded):
+            gen_ramsey_cg(RamseyInstance(2, 100, 65))
 
 
 def _least_labelling(g):

@@ -90,7 +90,8 @@ class TestValueTypes:
     def test_model_reads_every_variable(self):
         m = Model([False, True])
         assert (m[1], m[2]) == (False, True)
-        for var in (0, -1, 3):
+        # only an int (bool excluded) in 1..num_vars is a variable number
+        for var in (0, -1, 3, 2 ** 70, True, False, 1.0, "a", None, (1,)):
             with pytest.raises(KeyError):
                 m[var]
 
