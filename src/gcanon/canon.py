@@ -27,23 +27,31 @@ with the first leaf:
   alone, empty, complete and complete bipartite graphs take at most
   n(n+1)/2 nodes instead of growing roughly as n^5.5.
 
-The third reads automorphisms off the refinement, with no leaf:
+The third reads automorphisms off the partition, with no leaf or
+refinement:
 
-- homogeneous target: a first-path node whose first child has exactly
-  one cell more than the node, so that the individualized vertex v split
-  nothing but itself off the target T, tries no other child.  Let D be
-  any cell of the node other than T.  {v} split neither D nor T - {v},
-  so v is adjacent to all of D or to none of it, and to all of T - {v}
-  or to none of it.  The node's partition is equitable, so every vertex
-  of T has as many neighbours in D, and in T, as v: T and D are joined
-  completely or not at all, and T is a clique or an independent set.
-  Every permutation of T that fixes the other vertices is therefore an
-  automorphism that fixes the path, and it maps the first child's
-  subtree onto each other child's.  The node records the transposition
-  (T[0] T[1]), and the orbit of T[0] under the automorphisms that fix
-  the path is all of T.  Empty and complete graphs take n nodes, the
-  first path alone; k > 1 disjoint copies of K_m take
-  (k^2 + 2k - 2)(m - 1) + 1.
+- twin target: a node whose target T is a set of twins, each u in T
+  adjacent to the same vertices outside {u, T[0]} as T[0], peels T in
+  one step and tries no other child.  Such twins are all adjacent to
+  T[0] or none is (if u were and w not, u would be a neighbour of w but
+  w not of u), and then to each other alike, so T is a clique or an
+  independent set, and every permutation of T that fixes the other
+  vertices is an automorphism.  It fixes the path,
+  whose vertices are singletons outside T, and maps the first child's
+  subtree onto each other child's.  Individualizing T[0] splits nothing
+  but T[0] off T: a vertex of another cell D is adjacent to all of T or
+  to none of it, and the node's partition is equitable, so D is joined to
+  T completely or not at all.  T - {T[0]} is then the smallest cell and
+  still twins, so the first path down from the node individualizes T in
+  order; the node builds that path's partition at once, every vertex of
+  T a singleton in place of T, extends the path by T[:-1], and makes no
+  refinement.  The test runs at every node, on the first path or off it,
+  before any child.  A first-path node records the transpositions
+  (T[i] T[i+1]), which generate every permutation of T, and the orbits
+  along the peel have sizes |T|, |T| - 1, ..., 2.  Empty and complete
+  graphs take 2 nodes, the root and its leaf; for m > 2, k disjoint
+  copies of K_m take 2k^2 + 2k - 2 and k disjoint copies of K_{m,m} take
+  (9k^2 + 15k - 4)/2, whatever m is.
 
 The first leaf's certificate is computed only when a second leaf arrives
 to be compared with it, so a search whose root partition is already
@@ -52,9 +60,9 @@ discrete, one leaf, computes none.
 The reported vertex orbits are those of all generators found.  group_size,
 |Aut|, is the product over the first-path nodes of the size of the orbit of
 the first-path child under the automorphisms that fix the path so far,
-counted as the node's children are tried or pruned, or all of a
-homogeneous target; jump-back never cuts a first-path node short, so every
-count is complete.  Both match brute force on every labelled 5-vertex graph
+counted as the node's children are tried or pruned, or |T|! for a twin
+target T; jump-back never cuts a first-path node short, so every count is
+complete.  Both match brute force on every labelled 5-vertex graph
 and every 6-vertex class, plain and with a 2-cell coloring
 (tests/test_canon.py); every merge is a true automorphism, so the orbits
 are sound at any size.
@@ -64,6 +72,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional
 
 from .graph import (
@@ -175,14 +184,26 @@ def refine_equitable(g: Graph, p: OrderedPartition) -> OrderedPartition:
     return _derived(OrderedPartition, tuple(_root_cells(g.rows, g.n, p.cells)))
 
 
-def _absorb(orbits, gen):
-    """Merge the orbits that the permutation gen joins; orbits[v] is the
-    least vertex of v's orbit, and stays so."""
-    for u, gu in enumerate(gen):
-        a, b = orbits[u], orbits[gu]
-        if a != b:
-            lo, hi = min(a, b), max(a, b)
-            orbits[:] = [lo if x == hi else x for x in orbits]
+def _absorb(orbits, gen, domain):
+    """Merge the orbits that the permutation gen joins on domain, an
+    ascending union of orbits that gen maps onto itself; orbits[v] is the
+    least vertex of v's orbit, and stays so on domain.  No entry outside
+    domain is read or written.  Union-find links each root to the lesser
+    one, so no vertex points above itself, and one ascending pass then
+    points every vertex at its root."""
+    for u in domain:
+        a = orbits[u]
+        while orbits[a] != a:
+            a = orbits[a]
+        b = orbits[gen[u]]
+        while orbits[b] != b:
+            b = orbits[b]
+        if a < b:
+            orbits[b] = a
+        elif b < a:
+            orbits[a] = b
+    for u in domain:
+        orbits[u] = orbits[orbits[u]]
 
 
 class _CanonSearch:
@@ -211,6 +232,29 @@ class _CanonSearch:
         # The nodes entered before the first leaf make up the first path.
         first = self.first_labeling is None
         target = cells[ti]
+        rows = self.rows
+        t0 = target[0]
+        r0 = rows[t0]
+        for u in target:
+            if (rows[u] ^ r0) & ~(1 << u | 1 << t0):
+                break
+        else:
+            # The target is a set of twins, so every permutation of it is an
+            # automorphism that fixes path (see the module docstring): peel
+            # it in target order, as the first children below would, and
+            # try no other child.
+            child = cells[:ti] + [(u,) for u in target] + cells[ti + 1:]
+            depth = len(path)
+            path += target[:-1]
+            self._descend(child, path)
+            del path[depth:]
+            if first:
+                for a, b in zip(target, target[1:]):
+                    gen = list(range(self.n))
+                    gen[a], gen[b] = b, a
+                    self.generators.append(tuple(gen))
+                self.group_size *= factorial(len(target))
+            return
         # Orbits of the generators that fix path pointwise, made when the
         # first one is found; each generator is absorbed once.  They map
         # target, an ascending tuple, onto itself, so orbits[v] < v holds
@@ -229,25 +273,17 @@ class _CanonSearch:
                     if all(gen[w] == w for w in path):
                         if orbits is None:
                             orbits = list(range(self.n))
-                        _absorb(orbits, gen)
+                        _absorb(orbits, gen, target)
                 seen = len(self.generators)
                 if orbits is not None and orbits[v] < v:
-                    orbit_size += orbits[v] == target[0]
+                    orbit_size += orbits[v] == t0
                     continue
             rest = target[:k] + target[k + 1:]
             child = cells[:ti] + [(v,)] + [rest] + cells[ti + 1:]
-            child = _refine(self.rows, child, [1 << v])
+            child = _refine(rows, child, [1 << v])
             path.append(v)
             self._descend(child, path)
             path.pop()
-            if first and not k and len(child) == len(cells) + 1:
-                # {v} split no cell, so every permutation of target is an
-                # automorphism that fixes path (see the module docstring).
-                gen = list(range(self.n))
-                gen[v], gen[target[1]] = target[1], v
-                self.generators.append(tuple(gen))
-                self.group_size *= len(target)
-                return
             if self.jump is not None:
                 if len(path) > self.jump:
                     return
@@ -312,7 +348,7 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
     search, pos, crows = _search_from(g.rows, g.n, root)
     orbits = list(range(g.n))
     for gen in search.generators:
-        _absorb(orbits, gen)
+        _absorb(orbits, gen, range(g.n))
     return CanonicalResult(
         labeling=_derived(Permutation, tuple(search.best_labeling)),
         permutation=_derived(Permutation, tuple(pos)),

@@ -473,7 +473,7 @@ def test_symmetric_graphs_take_polynomial_search_nodes(g, monkeypatch):
 def test_search_tree_pin(monkeypatch):
     # Every 6-vertex class and every large graph, in one seeded relabelling,
     # plain and with a seeded 2-cell coloring.  The node count pins which
-    # children orbit pruning, jump-back and homogeneous targets skip; the
+    # children orbit pruning, jump-back and twin targets skip; the
     # group sizes pin the orbit counts on the first path.  The inputs are
     # built before the count starts, so only the canonize trees are
     # counted.
@@ -497,7 +497,7 @@ def test_search_tree_pin(monkeypatch):
                 initial_coloring=OrderedPartition(cells))):
             sizes.append(canonize(g, opts).group_size)
     digest = hashlib.sha256(repr(sizes).encode()).hexdigest()
-    assert (len(sizes), nodes) == (344, 2078)
+    assert (len(sizes), nodes) == (344, 1328)
     assert digest == (
         "a6bc3982aba0514ac11224b918733c4460e2c12fb5fb0df4f15399a3e3f19200")
 
@@ -538,20 +538,38 @@ def search_nodes(g, monkeypatch):
 
 
 def clique_union_nodes(k, m):
-    """Search nodes of k > 1 disjoint copies of K_m, m > 1, as built.
-    Every leaf lies at depth d = k(m - 1) and gives an automorphism, so a
-    child tried off the first path below a node at depth t costs d - t
-    nodes, down to its leaf, and the search jumps back.  On the first path
-    only the nodes at depth i(m - 1), i < k - 1, which split off clique i,
-    try other children: two, the next vertex of clique i and the first of
-    clique i + 1; every other node's target is a clique.  So the count is
-    d + 1 + 2 * sum(d - i(m - 1) for i < k - 1)."""
-    return (k * k + 2 * k - 2) * (m - 1) + 1
+    """Search nodes of k disjoint copies of K_m, m > 1, as built.
+
+    For m > 2: a node whose target is one clique, minus whatever the path
+    has taken, peels it in one step.  A node whose target is a union of
+    j > 1 whole cliques individualizes the least vertex of the first;
+    the clique's other m - 1 vertices split off as one twin target, whose
+    node peels it, and the other j - 1 cliques stay one cell.  So the
+    first path has 2k nodes with its leaf.  Every leaf gives an
+    automorphism, and a child tried off the first path below a union node
+    costs its 2j - 1 nodes down to the leaf before the search jumps back.
+    Each union node tries two such children, the next vertex of its first
+    clique and the first vertex of the next; then the generators below it
+    join every vertex of the union into one orbit.  The count is
+    2k + 2 * sum(2j - 1 for 1 < j <= k) = 2k^2 + 2k - 2.
+
+    For m = 2 a clique minus a vertex is a single vertex, so no peel node
+    is needed: the first path has k + 1 nodes, a child tried off it
+    below a union of j copies costs j, and the count is
+    k + 1 + 2 * sum(j for 1 < j <= k) = k^2 + 2k - 1."""
+    if m == 2:
+        return k * k + 2 * k - 1
+    return 2 * k * k + 2 * k - 2
+
+
+def biclique_union_nodes(k):
+    """Search nodes of k disjoint copies of K_{m,m}, m > 2, as built."""
+    return (9 * k * k + 15 * k - 4) // 2
 
 
 @pytest.mark.parametrize("g,order,nodes", [
-    pytest.param(Graph.empty(64), math.factorial(64), 64, id="empty64"),
-    pytest.param(complete(64), math.factorial(64), 64, id="K64"),
+    pytest.param(Graph.empty(64), math.factorial(64), 2, id="empty64"),
+    pytest.param(complete(64), math.factorial(64), 2, id="K64"),
     # the complement of 2xK32, whose refinements it shares
     pytest.param(complete_bipartite(32), 2 * math.factorial(32) ** 2,
                  clique_union_nodes(2, 32), id="K32,32"),
@@ -559,13 +577,81 @@ def clique_union_nodes(k, m):
                    math.factorial(m) ** k * math.factorial(k),
                    clique_union_nodes(k, m), id=f"{k}xK{m}")
       for k, m in [(2, 2), (2, 32), (3, 3), (5, 2), (4, 6), (8, 8)]),
+    *(pytest.param(disjoint_copies(k, complete_bipartite(m)),
+                   (2 * math.factorial(m) ** 2) ** k * math.factorial(k),
+                   biclique_union_nodes(k), id=f"{k}xK{m},{m}")
+      for m in (3, 4, 5) for k in (1, 2, 3, 4, 6)),
 ])
 def test_homogeneous_search_closed_forms(g, order, nodes, monkeypatch):
-    # A first-path node whose first child splits nothing but the
-    # individualized vertex off the target reads the target's orbit off
-    # the partition and tries no other child.
+    # A node whose target cell is a set of pairwise twins peels it in one
+    # step and tries no other child.
     r, count = search_nodes(g, monkeypatch)
     assert (r.group_size, len(set(r.orbits)), count) == (order, 1, nodes)
+
+
+def test_absorb_matches_orbit_closure():
+    # Random permutations that map a random domain onto itself, absorbed
+    # one at a time: on the domain the result is the least vertex of each
+    # orbit of the group they generate, and every other entry is kept.
+    rng = random.Random(79)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        domain = sorted(rng.sample(range(n), rng.randint(1, n)))
+        outside = [v for v in range(n) if v not in domain]
+        orbits = list(range(n))
+        for v in outside:
+            orbits[v] = rng.randrange(n)
+        kept = [orbits[v] for v in outside]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            image = domain[:]
+            rng.shuffle(image)
+            gen = list(range(n))
+            for u, w in zip(domain, image):
+                gen[u] = w
+            gens.append(gen)
+            canon._absorb(orbits, gen, domain)
+            closure = {}
+            for v in domain:
+                seen, todo = {v}, [v]
+                while todo:
+                    u = todo.pop()
+                    for g in gens:
+                        if g[u] not in seen:
+                            seen.add(g[u])
+                            todo.append(g[u])
+                closure[v] = min(seen)
+            assert [orbits[v] for v in domain] == [closure[v] for v in domain]
+            assert [orbits[v] for v in outside] == kept
+
+
+def test_block_union_results_pin():
+    # Every field of canonize on seeded relabellings of disjoint unions of
+    # twin blocks (cliques and bicliques) and of other blocks, up to
+    # n = 64, plain and with a seeded 2-cell coloring.  Their targets are
+    # twin sets at many depths, on and off the first path: peeling one in
+    # a step keeps the labeling, orbits and |Aut| of trying its children.
+    graphs = [disjoint_copies(k, complete(m))
+              for k in range(1, 9) for m in range(2, 9) if k * m <= 64]
+    graphs += [disjoint_copies(k, complete_bipartite(m))
+               for k in range(1, 7) for m in range(2, 6) if 2 * k * m <= 64]
+    graphs += [disjoint_copies(3, petersen()), disjoint_copies(4, cycle(5)),
+               hypercube(5)]
+    rng = random.Random(83)
+    graphs = [relabelled(g, rng) for g in graphs]
+    digest = hashlib.sha256()
+    for g in graphs:
+        first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+        cells = (tuple(first), tuple(v for v in range(g.n) if v not in first))
+        for opts in (CanonOptions(), CanonOptions(
+                initial_coloring=OrderedPartition(cells))):
+            r = canonize(g, opts)
+            digest.update(repr((
+                r.labeling.map, r.permutation.map, r.orbits, r.canonic.rows,
+                r.partition.cells, r.group_size)).encode())
+    assert len(graphs) == 83
+    assert digest.hexdigest() == (
+        "bd6cb93b74539753ee3218830e0f939c5d62741eecf370138b57be948f07aa5e")
 
 
 def twin_class_graph(rng):
@@ -616,7 +702,7 @@ def vf2_group(nx, g, cells):
 
 
 def test_twin_class_graphs_match_vf2():
-    # Twin classes give homogeneous targets at many depths, with and
+    # Twin classes give twin targets at many depths, with and
     # without a coloring that cuts across them.
     nx = pytest.importorskip("networkx")
     rng = random.Random(71)
@@ -671,7 +757,7 @@ def test_memo_search_pin(monkeypatch):
 
     monkeypatch.setattr(_CanonSearch, "_descend", counting_descend)
     assert len(all_nonisomorphic(7)) == 1044
-    assert (searches, nodes) == (1280, 4490)
+    assert (searches, nodes) == (1280, 4135)
 
 
 def test_results_are_valid_values():
