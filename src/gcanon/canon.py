@@ -359,24 +359,68 @@ def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
     )
 
 
+def _invariant_order(rows, n):
+    """Vertices sorted by degree, then by the sum of their neighbours'
+    degrees, ties by index: an order that any relabelling carries along,
+    up to those ties, and that costs no refinement."""
+    deg = [r.bit_count() for r in rows]
+    shift = (n * n).bit_length()
+    keys = []
+    for d, r in zip(deg, rows):
+        s = d << shift
+        while r:
+            low = r & -r
+            s += deg[low.bit_length() - 1]
+            r ^= low
+        keys.append(s)
+    return sorted(range(n), key=keys.__getitem__)
+
+
+def _memo_key(rows, order):
+    """The graph relabelled so order[i] sits at position i, as one int:
+    its graph6-order bits b, then n = len(order), as (b << 1 | 1) << n.
+    The trailing zeros give n back and the rest gives b, so keys of
+    different labelled graphs differ, whatever their vertex counts."""
+    return (_upper_bits(rows, order) << 1 | 1) << len(order)
+
+
 def canonical_form(g: Graph, memo: Optional[dict] = None) -> Graph:
     """Canonical representative of g's isomorphism class.
 
     A memo dict, owned by the caller for one batch of inputs, skips the
-    search for an input already seen up to the root refinement.  Its key
-    is n and the graph6-order bits of g relabeled in root-cell order: two
-    inputs with the same key are both isomorphic to that one labelled
-    graph, so they share the canonical form stored under it.
+    search for an input already seen.  It holds two kinds of key, each a
+    labelled graph isomorphic to its input (see _memo_key): g relabelled
+    in invariant order (see _invariant_order), and g relabelled in
+    root-cell order.  Two inputs with the same key of either kind, or one
+    of each, are both isomorphic to the labelled graph the key spells, so
+    they share the canonical form stored under it, and both kinds share
+    one dict.  The invariant key is tried first, as it needs no
+    refinement; only on a miss is the root refinement run and the root
+    key tried, and only on a second miss is the search run.  The form is
+    then stored under both keys.
+
+    Equal invariant keys imply equal root keys.  The relabelling that
+    maps one input's invariant order onto the other's is an isomorphism
+    that keeps degrees and neighbour-degree sums, and it is increasing
+    on each class of vertices that share both.  Each root cell lies
+    inside one such class, so it maps the root cells onto the root
+    cells, in order and each in index order.  So the searches are those
+    of the root key alone; the first key saves only refinements.
     """
     rows, n = g.rows, g.n
-    root = _root_cells(rows, n)
     if memo is None:
-        return Graph._trusted(n, _search_from(rows, n, root)[2])
-    key = (n, _upper_bits(rows, [v for cell in root for v in cell]))
-    canonic = memo.get(key)
+        return Graph._trusted(
+            n, _search_from(rows, n, _root_cells(rows, n))[2])
+    cheap = _memo_key(rows, _invariant_order(rows, n))
+    canonic = memo.get(cheap)
     if canonic is None:
-        canonic = memo[key] = Graph._trusted(
-            n, _search_from(rows, n, root)[2])
+        root = _root_cells(rows, n)
+        key = _memo_key(rows, [v for cell in root for v in cell])
+        canonic = memo.get(key)
+        if canonic is None:
+            canonic = memo[key] = Graph._trusted(
+                n, _search_from(rows, n, root)[2])
+        memo[cheap] = canonic
     return canonic
 
 

@@ -5,8 +5,12 @@ vertices) and shortg (remove isomorphic duplicates), built on one level
 loop, grow: extend every canonical graph by one vertex in all 2^n ways,
 filter, then reduce; a Stats sink times each level.  reduce_classes is
 the one reduce step of every generator here and in ramsey.py: it hands
-canonical_form a memo of its own, so graphs that agree up to the root
-refinement are searched once, and no state outlives the call.
+canonical_form a memo of its own, and no state outlives the call.  The
+memo keys each graph first by its relabelling in a cheap invariant order,
+then, on a miss, by its relabelling in root-refinement order, each key
+one int that spells a labelled graph with its n (see canon._memo_key);
+equal keys mean isomorphic graphs, so each root-order key is searched
+once per batch, and a graph whose first key is stored is not refined.
 """
 
 from __future__ import annotations

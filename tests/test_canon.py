@@ -742,6 +742,35 @@ def test_memo_key_carries_the_order():
     assert len(memo) == 2
 
 
+def test_memo_key_carries_the_vertex_count():
+    # Edgeless graphs of every size have graph6 bits 0, and K1 and K2
+    # share their invariant and root orders; only n tells these keys apart.
+    inputs = [Graph.empty(k) for k in (0, 1, 2, 1, 0)]
+    inputs += [Graph.from_edges(1, []), Graph.from_edges(2, [(0, 1)]),
+               Graph.from_edges(3, [(0, 1), (1, 2)])]
+    memo = {}
+    for g in inputs:
+        c = canonical_form(g, memo)
+        assert c.n == g.n
+        assert c == canonical_form(g)
+
+
+def test_memo_over_relabelled_classes():
+    # Three seeded relabellings of every 7-vertex class, shuffled, through
+    # one memo: hits on either key must give each input its own form.
+    rng = random.Random(67)
+    inputs = [relabelled(g, rng) for g in all_nonisomorphic(7)
+              for _ in range(3)]
+    rng.shuffle(inputs)
+    memo = {}
+    forms = set()
+    for g in inputs:
+        c = canonical_form(g, memo)
+        assert c == canonical_form(g)
+        forms.add(c)
+    assert len(forms) == 1044
+
+
 def test_memo_search_pin(monkeypatch):
     # all_nonisomorphic(7) searches only children whose root-order bits
     # are new to their reduce step; canonizing every child, with no memo,
@@ -758,6 +787,23 @@ def test_memo_search_pin(monkeypatch):
     monkeypatch.setattr(_CanonSearch, "_descend", counting_descend)
     assert len(all_nonisomorphic(7)) == 1044
     assert (searches, nodes) == (1280, 4135)
+
+
+def test_memo_root_refinement_pin(monkeypatch):
+    # all_nonisomorphic(7) refines the root only of children whose
+    # invariant-order key is new to their reduce step; keying every child
+    # by its root order alone takes 11,291 root refinements.
+    calls = 0
+    root_cells = canon._root_cells
+
+    def counting_root_cells(*args):
+        nonlocal calls
+        calls += 1
+        return root_cells(*args)
+
+    monkeypatch.setattr(canon, "_root_cells", counting_root_cells)
+    assert len(all_nonisomorphic(7)) == 1044
+    assert calls == 1614
 
 
 def test_results_are_valid_values():
