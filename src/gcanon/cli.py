@@ -17,6 +17,7 @@ from .graph import (
     EDGE_LIST,
     GRAPH6_ATOM,
     GraphError,
+    _check_vertex_count,
     _parse_graph,
     _render_graph,
     graph_convert,
@@ -141,7 +142,9 @@ def _cmd_ramsey(args) -> int:
     if args.mode == "gt":
         graphs = ramsey.gen_ramsey_gt(inst, stats=stats)
     else:
-        # A stats row for every size up to n, else the graphs on n.
+        # A stats row for every size up to n, else the graphs on n; n is
+        # checked against the cap before any size is solved.
+        _check_vertex_count(inst.n)
         for k in range(1, args.n + 1) if stats else [args.n]:
             graphs = ramsey.gen_ramsey_cg(
                 ramsey.RamseyInstance(args.s, args.t, k), stats=stats)

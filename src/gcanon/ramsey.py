@@ -21,6 +21,7 @@ is a Ramsey (s,t;n) coloring when no s vertices are pairwise non-adjacent
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,11 +119,27 @@ def _extension_keep(s: int, t: int):
     """Ramsey check for a one-vertex extension of an already-Ramsey parent:
     only subsets through the new (last) vertex can violate the property, so
     the old vertices are searched for an independent (s-1)-set among the
-    new vertex's non-neighbours and a (t-1)-clique among its neighbours."""
+    new vertex's non-neighbours and a (t-1)-clique among its neighbours.
+
+    The new vertex's degree is checked first.  By the Erdos-Szekeres bound
+    R(a,b) <= C(a+b-2, a-1), any few = C(s+t-3, s-2) >= R(s-1,t) vertices
+    hold an independent (s-1)-set or a t-clique, and any many =
+    C(s+t-3, t-2) >= R(s,t-1) vertices an independent s-set or a
+    (t-1)-clique.  The parent has no t-clique and no independent s-set,
+    so a child whose new vertex has at least few old non-neighbours or at
+    least many neighbours fails a search below, and is rejected without
+    one.  For s = 1 or t = 1 every child fails, and both numbers are 0."""
+    few = many = 0
+    if s > 1 and t > 1:
+        few = math.comb(s + t - 3, s - 2)
+        many = math.comb(s + t - 3, t - 2)
 
     def keep(h: Graph) -> bool:
         rows = h.rows
         nbrs = rows[-1]
+        d = nbrs.bit_count()
+        if d >= many or h.n - 1 - d >= few:
+            return False
         old = (1 << (h.n - 1)) - 1
         if _has_clique(rows, old & ~nbrs, s - 1, old):
             return False
@@ -154,6 +171,7 @@ def gen_ramsey_gt(inst: RamseyInstance, *,
     levels, which extend_and_reduce does not assume of its input, so it
     joins the Ramsey test in the keep that gt gives grow.
     """
+    _check_vertex_count(inst.n)
     keep = _extension_keep(inst.s, inst.t)
     return grow(inst.n, lambda h: keep(h) and _new_vertex_max_degree(h),
                 stats)

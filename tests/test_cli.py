@@ -13,7 +13,7 @@ from gcanon.cli import run
 from gcanon.generate import all_nonisomorphic
 from gcanon.graph import Graph, apply_permutation, Permutation
 from gcanon.graph6 import STREAM_HEADER, decode_graph6, encode_graph6
-from gcanon import sat
+from gcanon import ramsey, sat
 
 from .reference_graphs import CYCLE5_ATOM, CYCLE5_MATRIX, TWELVE_CYCLE_ATOMS
 
@@ -346,6 +346,27 @@ class TestRamsey:
         code, out, err = cli(capsys, monkeypatch,
                              ["ramsey", "cg", "2", "100", "65"])
         assert (code, out) == (1, "")
+        assert err == "error: n=65 exceeds vertex cap 64\n"
+
+    @pytest.mark.parametrize("argv", [["3", "5", "65"],
+                                      ["2", "100", "65", "--stats"]],
+                             ids="-".join)
+    def test_gt_above_the_vertex_cap_is_one_error_line(self, capsys,
+                                                       monkeypatch, argv):
+        # (3,5;n) levels are empty from n = 14 on, and (2,100;n) is K_n,
+        # whose levels double in time up to the cap.
+        code, out, err = cli(capsys, monkeypatch, ["ramsey", "gt"] + argv)
+        assert (code, out) == (1, "")
+        assert err == "error: n=65 exceeds vertex cap 64\n"
+
+    def test_cg_stats_checks_the_cap_before_any_size(self, capsys,
+                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(ramsey, "gen_ramsey_cg",
+                            lambda *a, **kw: calls.append(a))
+        code, out, err = cli(capsys, monkeypatch,
+                             ["ramsey", "cg", "3", "5", "65", "--stats"])
+        assert (code, out, calls) == (1, "", [])
         assert err == "error: n=65 exceeds vertex cap 64\n"
 
 

@@ -31,7 +31,7 @@ from gcanon.ramsey import (
     gen_ramsey_gt,
     is_ramsey,
 )
-from gcanon import ramsey, sat
+from gcanon import generate, ramsey, sat
 
 from .conftest import all_graphs, labelled_graphs
 from .reference_graphs import (
@@ -99,16 +99,52 @@ class TestIsRamsey:
 
 class TestGenerateTestReduce:
     @pytest.mark.parametrize("s,t", [(1, 3), (2, 3), (3, 2), (3, 3), (3, 4),
-                                     (4, 3), (3, 5)])
+                                     (4, 3), (3, 5), (2, 5), (5, 2), (4, 4),
+                                     (3, 6)])
     def test_extension_filter_matches_is_ramsey(self, s, t):
         # s - 1 and t - 1 of 0 and 2 take the shortcuts of _has_clique,
-        # 1, 3 and 4 its loop, on the clique and the independent side
+        # 1, 3 and 4 its loop, on the clique and the independent side.
+        # The degree bound cuts on both sides for (2,5), (5,2), (3,3),
+        # (3,4) and (4,3), on the non-neighbour side for (3,5) and (3,6),
+        # and nowhere for (4,4), whose bound C(5,2) = 10 needs n >= 11.
         keep = _extension_keep(s, t)
-        for n in range(1, 8):
+        for n in range(1, 9 if {s, t} == {3, 4} else 8):
             inst = RamseyInstance(s, t, n)
             for g in gen_ramsey_gt(RamseyInstance(s, t, n - 1)):
                 for h in extensions(g):
                     assert keep(h) == is_ramsey(inst, h), (s, t, h)
+
+    @pytest.mark.parametrize("s, t, parent, mask", [
+        (3, 5, C5, 0b00000),  # 5 non-neighbours >= C(5,1)
+        (5, 3, C5, 0b11111),  # 5 neighbours >= C(5,1)
+        (2, 5, Graph.from_edges(4, itertools.combinations(range(4), 2)),
+         0b1111),  # 4 neighbours >= C(4,3)
+        (5, 2, Graph.empty(4), 0b0000),  # 4 non-neighbours >= C(4,3)
+    ], ids=["3-5-few", "5-3-many", "2-5-many", "5-2-few"])
+    def test_degree_bound_rejects_before_any_clique_search(
+            self, monkeypatch, s, t, parent, mask):
+        class CliqueSearch(Exception):
+            pass
+
+        def search(*args):
+            raise CliqueSearch
+
+        h = list(extensions(parent))[mask]
+        assert not is_ramsey(RamseyInstance(s, t, h.n), h)
+        keep = _extension_keep(s, t)
+        monkeypatch.setattr(ramsey, "_has_clique", search)
+        assert not keep(h)
+        # the patch is live: a (3,5) child whose degree is in range, 2
+        # neighbours and 3 non-neighbours, is searched
+        with pytest.raises(CliqueSearch):
+            _extension_keep(3, 5)(list(extensions(C5))[0b00101])
+
+    def test_gt_rejects_n_above_the_vertex_cap_before_extending(
+            self, monkeypatch):
+        monkeypatch.setattr(generate, "extensions", None)
+        for s, t in [(3, 5), (2, 100)]:
+            with pytest.raises(VertexCapExceeded):
+                gen_ramsey_gt(RamseyInstance(s, t, 65))
 
     @pytest.mark.parametrize("s, t, n", [(3, 3, 6), (3, 4, 9), (4, 3, 9),
                                          (3, 5, 14), (4, 4, 7), (3, 6, 8)])
