@@ -23,9 +23,13 @@ with the first leaf:
   returns at once to the deepest node its path shares with the first path.
   The automorphism fixes that shared prefix and maps the rest of the
   abandoned subtree onto the first-path subtree already explored, so every
-  skipped leaf repeats a certificate already seen.  With these two rules
-  alone, empty, complete and complete bipartite graphs take at most
-  n(n+1)/2 nodes instead of growing roughly as n^5.5.
+  skipped leaf repeats a certificate already seen.  That node is the
+  leaf's deepest first-path ancestor, and never a twin target node, whose
+  one child extends the path by all of T[:-1].  So _descend returns True
+  to jump back: the leaf returns it, any other node passes it up at once,
+  and a first-path node takes it and goes on with its next child.  With
+  these two rules alone, empty, complete and complete bipartite graphs
+  take at most n(n+1)/2 nodes instead of growing roughly as n^5.5.
 
 The third reads automorphisms off the partition, with no leaf or
 refinement:
@@ -214,21 +218,21 @@ class _CanonSearch:
         self.group_size = 1
         self.first_cert = None
         self.first_labeling = None
-        self.first_path = None
         self.best_cert = None
         self.best_labeling = []
-        # Depth to return to after a leaf gave an automorphism, else None.
-        self.jump = None
 
     def _descend(self, cells, path):
+        """Search the subtree at cells and path.  Returns True to jump back
+        past this node: a leaf below gave an automorphism and no first-path
+        node took it.  A first-path node takes a child's True and returns
+        False."""
         # Target the first smallest non-singleton cell.
         ti = -1
         for i, cell in enumerate(cells):
             if len(cell) > 1 and (ti < 0 or len(cell) < len(cells[ti])):
                 ti = i
         if ti < 0:
-            self._leaf([c[0] for c in cells], path)
-            return
+            return self._leaf([c[0] for c in cells])
         # The nodes entered before the first leaf make up the first path.
         first = self.first_labeling is None
         target = cells[ti]
@@ -246,7 +250,7 @@ class _CanonSearch:
             child = cells[:ti] + [(u,) for u in target] + cells[ti + 1:]
             depth = len(path)
             path += target[:-1]
-            self._descend(child, path)
+            jump = self._descend(child, path)
             del path[depth:]
             if first:
                 for a, b in zip(target, target[1:]):
@@ -254,7 +258,7 @@ class _CanonSearch:
                     gen[a], gen[b] = b, a
                     self.generators.append(tuple(gen))
                 self.group_size *= factorial(len(target))
-            return
+            return jump
         # Orbits of the generators that fix path pointwise, made when the
         # first one is found; each generator is absorbed once.  They map
         # target, an ascending tuple, onto itself, so orbits[v] < v holds
@@ -282,21 +286,21 @@ class _CanonSearch:
             child = cells[:ti] + [(v,)] + [rest] + cells[ti + 1:]
             child = _refine(rows, child, [1 << v])
             path.append(v)
-            self._descend(child, path)
+            jump = self._descend(child, path)
             path.pop()
-            if self.jump is not None:
-                if len(path) > self.jump:
-                    return
-                self.jump = None
+            if jump:
+                if not first:
+                    return True
                 orbit_size += 1
         if first:
             self.group_size *= orbit_size
+        return False
 
-    def _leaf(self, labeling, path):
+    def _leaf(self, labeling):
+        """Record a leaf; True when it gave an automorphism."""
         if self.first_labeling is None:
             self.first_labeling = self.best_labeling = labeling
-            self.first_path = path[:]
-            return
+            return False
         if self.first_cert is None:
             self.first_cert = self.best_cert = _upper_bits(
                 self.rows, self.first_labeling)
@@ -309,16 +313,11 @@ class _CanonSearch:
             for a, b in zip(self.first_labeling, labeling):
                 gen[a] = b
             self.generators.append(tuple(gen))
-            # gen maps the first path onto path, so it fixes their common
-            # prefix and carries the rest of this subtree onto the explored
-            # first-path subtree: go back to that prefix.
-            j = 0
-            while path[j] == self.first_path[j]:
-                j += 1
-            self.jump = j
-        elif cert < self.best_cert:
+            return True
+        if cert < self.best_cert:
             self.best_cert = cert
             self.best_labeling = labeling
+        return False
 
 
 def _search_from(rows, n, root):

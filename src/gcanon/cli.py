@@ -74,6 +74,7 @@ def _write_graph_value(out, fmt: str, value) -> None:
 def _cmd_convert(args) -> int:
     src = FMT_NAMES[args.from_fmt]
     dst = FMT_NAMES[args.to_fmt]
+    _check_vertex_count(args.n)
     for value in _read_graph_texts(sys.stdin, src, args.n):
         _write_graph_value(sys.stdout, dst,
                            graph_convert(args.n, src, dst, value))
@@ -82,6 +83,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_canon(args) -> int:
     fmt = FMT_NAMES[args.fmt]
+    _check_vertex_count(args.n)
     for value in _read_graph_texts(sys.stdin, fmt, args.n):
         result = canonize(_parse_graph(args.n, fmt, value))
         out = _render_graph(fmt, result.canonic)

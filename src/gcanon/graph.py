@@ -349,8 +349,7 @@ def extensions(g: Graph) -> Iterator[Graph]:
     2^min(n, 8) masks that share them.
     """
     n = g.n
-    if n + 1 > DEFAULT_VERTEX_CAP:
-        raise VertexCapExceeded("extension would exceed vertex cap")
+    _check_vertex_count(n + 1)
     n1 = n + 1
     newbit = 1 << n
     w = min(n, 8)

@@ -21,11 +21,10 @@ from binascii import a2b_base64, b2a_base64
 from typing import Iterable, Iterator
 
 from .graph import (
-    DEFAULT_VERTEX_CAP,
     Graph,
     GraphError,
-    VertexCapExceeded,
     _REV8,
+    _check_vertex_count,
     _packing,
     _transpose,
 )
@@ -92,9 +91,7 @@ def decode_graph6(atom: str) -> Graph:
             f"body length {len(body)}, expected {(nbits + 5) // 6} for n={n}")
     # Graph._trusted below does not check n.  Malformed text, whatever
     # its n, is a Graph6Error from the checks above.
-    if n > DEFAULT_VERTEX_CAP:
-        raise VertexCapExceeded(
-            f"n={n} exceeds vertex cap {DEFAULT_VERTEX_CAP}")
+    _check_vertex_count(n)
     # the body's bits, graph6 bit i at bit i: base64 digits, each byte's
     # bits reversed and the bytes read least significant first
     raw = a2b_base64(body.encode().translate(_FROM_GRAPH6)

@@ -200,6 +200,10 @@ class TestRefineEquitable:
         b = refine_equitable(g, OrderedPartition.unit(5))
         assert a == b
 
+    def test_rejects_a_partition_of_another_size(self):
+        with pytest.raises(GraphError, match="does not cover"):
+            refine_equitable(Graph.empty(3), OrderedPartition.unit(4))
+
 
 class TestCanonize:
     def test_worked_example_same_class(self):

@@ -384,6 +384,25 @@ def test_stream_header_line_is_skipped(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv,message", [
+    (["canon", "--n", "-1"], "negative vertex count"),
+    (["canon", "--n", "65"], "n=65 exceeds vertex cap 64"),
+    (["canon", "--n", "100000000000", "--fmt", "adj-matrix"],
+     "n=100000000000 exceeds vertex cap 64"),
+    (["convert", "--n", "-3", "--from", "graph6", "--to", "adj-list"],
+     "negative vertex count"),
+    (["convert", "--n", "-3", "--from", "adj-matrix", "--to", "graph6"],
+     "negative vertex count"),
+], ids=["canon-negative", "canon-65", "canon-huge-matrix",
+        "convert-negative", "convert-negative-matrix"])
+def test_bad_n_is_rejected_before_stdin_is_read(capsys, monkeypatch, argv,
+                                                message):
+    # empty stdin: no input graph would ever check n
+    code, out, err = cli(capsys, monkeypatch, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
     (["geng", "x"], "argument n: invalid int value: 'x'"),
     (["geng", "2.5"], "argument n: invalid int value: '2.5'"),
     (["nosuch"], "argument cmd: invalid choice: 'nosuch'"),

@@ -340,7 +340,7 @@ class TestKSubsets:
 
     @pytest.mark.parametrize("n, k", [
         (2.5, 2), (True, 1), ("3", 1), (-1, 0), (65, 0),
-        (3, 1.5), (3, True), (3, "1"), (3, None)])
+        (3, 1.5), (3, True), (3, "1"), (3, None), (3, -1)])
     def test_rejects_bad_n_or_k(self, n, k):
         with pytest.raises(GraphError):
             k_subsets(n, k)
