@@ -281,6 +281,19 @@ def _may_be_lex_least(g: Graph) -> bool:
     return True
 
 
+def _first_degree_at_most_mean(n: int, values: bytes) -> bool:
+    """Is vertex 0's degree at most the mean degree, read off the model
+    bytes of an n-vertex graph before any decode?
+
+    Its first n - 1 bytes are vertex 0's row and its first C(n,2) the
+    upper triangle, so the test is n * deg(0) <= 2 * |E|.  A model that
+    fails it fails _may_be_lex_least: at k = 0 that drops every labelling
+    whose vertex 0 is not of minimum degree, and the minimum degree is at
+    most the mean.  For n <= 1 both sides are 0 and every model is kept."""
+    return (n * values[:n - 1].count(1)
+            <= 2 * values[:n * (n - 1) // 2].count(1))
+
+
 def gen_ramsey_cg(inst: RamseyInstance, *,
                   stats: Optional[Stats] = None) -> list[Graph]:
     """Constrain-generate-reduce: encode, enumerate all models projected on
@@ -292,12 +305,18 @@ def gen_ramsey_cg(inst: RamseyInstance, *,
     apart, and no cell-mate of k with smaller per-cell neighbour counts.
     No class is lost: the least labelling x of a class meets both, and it
     is a model, since the row-lex clauses say x <=lex (i j)x for every
-    transposition (i j), which the least x satisfies."""
-    _check_vertex_count(inst.n)
+    transposition (i j), which the least x satisfies.
+
+    Before decode, _first_degree_at_most_mean drops, from its bytes, a
+    model whose vertex 0 has more than the mean degree: that vertex 0 is
+    not of minimum degree, so _may_be_lex_least would drop it at k = 0."""
+    n = inst.n
+    _check_vertex_count(n)
     evm, formula = encode_ramsey(inst)
     models = sat.solve_all(formula, range(1, evm.num_edge_vars + 1))
-    decoded = (decode_model(evm, m) for m in models)
+    decoded = (decode_model(evm, m) for m in models
+               if _first_degree_at_most_mean(n, m.values))
     graphs = reduce_classes(filter(_may_be_lex_least, decoded), stats)
     if stats is not None:
-        stats.level(inst.n, graphs)
+        stats.level(n, graphs)
     return graphs

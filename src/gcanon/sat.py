@@ -7,8 +7,10 @@ projection from one search and adds no clause to do it, after Toda & Soh
 ("Implementing efficient all solutions SAT solvers", ACM JEA 2016): it
 branches on the projection variables first, finds one completion of the
 rest, then backtracks over the projection decisions only.  solve_all lists
-what it yields; solve is the same search stopped at its first model.  A
-model holds one 0/1 byte per variable.
+what it yields; solve is the same search stopped at its first model.  The
+search keeps every literal's value in one bytearray (1 true, 0 false, 2
+unassigned), so a full model is one slice of it: one 0/1 byte per
+variable.
 """
 
 from __future__ import annotations
@@ -77,12 +79,32 @@ class CnfFormula:
 @dataclass(frozen=True, slots=True)
 class Model:
     """A satisfying assignment over every variable: m[v] is values[v-1],
-    held as one 0/1 byte per variable."""
+    held as one 0/1 byte per variable.
+
+    values may be any bytes-like object or iterable of ints (bools
+    included) that holds only 0 and 1; anything else, an int count too,
+    is a SatError."""
 
     values: bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "values", bytes(self.values))
+        values = self.values
+        if not isinstance(values, int):  # bytes(5) is 5 zero bytes
+            try:
+                values = bytes(values)
+            except (TypeError, ValueError):
+                pass
+        if type(values) is not bytes or values.translate(None, b"\x00\x01"):
+            raise SatError(f"model values {self.values!r} are not 0/1 bytes")
+        object.__setattr__(self, "values", values)
+
+    @staticmethod
+    def _trusted(values: bytes) -> "Model":
+        """Model from 0/1 bytes the solver built, without the checks of
+        __post_init__."""
+        m = object.__new__(Model)
+        object.__setattr__(m, "values", values)
+        return m
 
     def __getitem__(self, var: int) -> bool:
         if type(var) is not int or not 1 <= var <= len(self.values):
@@ -96,10 +118,12 @@ def _enumerate_projected(f: CnfFormula,
     each as one 0/1 byte per variable.  projection is used as solve_all
     makes and checks it: distinct variables of 1..num_vars, ascending.
 
-    All state is local to one call.  The value of a literal is lv[lit]:
-    None while its variable is unassigned, and lv[v] and lv[-v] (a
-    negative list index) are kept opposite, so each watch check is a
-    single list index; the watch lists are indexed by literal the same way.
+    All state is local to one call.  The value of a literal is lv[lit],
+    one byte of a bytearray: 1 true, 0 false, 2 while its variable is
+    unassigned; lv[v] and lv[-v] (a negative index) are kept opposite, so
+    each watch check is a single index and "not false" is truthiness.  The
+    watch lists are indexed by literal the same way.  A full model holds
+    no 2, so it is the slice lv[1:nv + 1] as bytes.
 
     The unit clauses are assigned and propagated first; a conflict there
     yields nothing.  The search branches on the projection variables,
@@ -112,14 +136,14 @@ def _enumerate_projected(f: CnfFormula,
     lexicographic order of the whole models.  With an empty projection
     only the first model is yielded."""
     nv = f.num_vars
-    lv: list[Optional[bool]] = [None] * (2 * nv + 1)
+    lv = bytearray(b"\x02") * (2 * nv + 1)
     watches: list[list] = [[] for _ in range(2 * nv + 1)]
     trail: list[int] = []
     decisions: list[tuple[int, int]] = []  # (trail mark, place in order)
 
     def assign(lit: int) -> None:
-        lv[lit] = True
-        lv[-lit] = False
+        lv[lit] = 1
+        lv[-lit] = 0
         trail.append(lit)
 
     def propagate(qhead: int) -> bool:
@@ -135,22 +159,22 @@ def _enumerate_projected(f: CnfFormula,
                 if c[0] == false_lit:
                     c[0], c[1] = c[1], false_lit
                 first = lv[c[0]]
-                if first:
+                if first == 1:
                     i += 1
                     continue
                 for j in range(2, len(c)):
-                    if lv[c[j]] is not False:
+                    if lv[c[j]]:
                         c[1], c[j] = c[j], false_lit
                         watches[c[1]].append(c)
                         wl[i] = wl[-1]
                         wl.pop()
                         break
                 else:
-                    if first is False:
+                    if first == 0:
                         return False
                     lit = c[0]
-                    lv[lit] = True
-                    lv[-lit] = False
+                    lv[lit] = 1
+                    lv[-lit] = 0
                     trail.append(lit)
                     i += 1
         return True
@@ -158,7 +182,7 @@ def _enumerate_projected(f: CnfFormula,
     def undo_to(mark: int) -> None:
         """Unassign everything past the trail mark."""
         for lit in trail[mark:]:
-            lv[lit] = lv[-lit] = None
+            lv[lit] = lv[-lit] = 2
         del trail[mark:]
 
     def resolve() -> Optional[int]:
@@ -182,9 +206,9 @@ def _enumerate_projected(f: CnfFormula,
             clause = list(c)
             watches[c[0]].append(clause)
             watches[c[1]].append(clause)
-        elif lv[c[0]] is False:
+        elif lv[c[0]] == 0:
             return
-        elif lv[c[0]] is None:
+        elif lv[c[0]] == 2:
             assign(c[0])
     if not propagate(0):
         return
@@ -197,7 +221,7 @@ def _enumerate_projected(f: CnfFormula,
             while decisions and decisions[-1][1] >= len(projection):
                 undo_to(decisions.pop()[0])
         else:
-            while lv[order[k]] is not None:
+            while lv[order[k]] != 2:
                 k += 1
             mark = len(trail)
             decisions.append((mark, k))
@@ -233,7 +257,7 @@ def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[Model]:
     for v in proj:
         if not 1 <= v <= f.num_vars:
             raise SatError(f"projection variable {v} out of range")
-    return [Model(raw) for raw in _enumerate_projected(f, proj)]
+    return list(map(Model._trusted, _enumerate_projected(f, proj)))
 
 
 def to_dimacs(f: CnfFormula) -> str:

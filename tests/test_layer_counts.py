@@ -44,6 +44,8 @@ def calls(monkeypatch):
                             counted("canonical_form", module.canonical_form))
     monkeypatch.setattr(sat, "solve_all",
                         items_counted("models", sat.solve_all))
+    monkeypatch.setattr(ramsey, "decode_model",
+                        counted("decode_model", ramsey.decode_model))
     monkeypatch.setattr(ramsey, "_extension_keep",
                         factory_counted("keep", ramsey._extension_keep))
     return seen
@@ -71,7 +73,10 @@ def test_35_13_canonizes_max_degree_children(calls):
     (10, 313, 7319, 1561), (11, 105, 3806, 891)])
 def test_35_cg_canonizes_possible_lex_least_models(calls, n, classes,
                                                      models, canonized):
-    # Canonizing every model took one call per model.
+    # Canonizing every model took one call per model.  Decoding every
+    # model did too; the degree test on the model bytes drops a model
+    # whose vertex 0 has more than the mean degree before decode.
     assert len(gen_ramsey_cg(RamseyInstance(3, 5, n))) == classes
     assert calls["models"] == models
+    assert calls["decode_model"] == {10: 5363, 11: 2229}[n]
     assert calls["canonical_form"] == canonized

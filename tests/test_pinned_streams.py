@@ -56,6 +56,23 @@ def test_solve_all_model_order(s, t, n, count, digest):
     assert sha256(model_text(models, f.num_vars)) == digest
 
 
+@pytest.mark.parametrize("n,count,digest", [
+    (10, 7319,
+     "a2b9bca6b25512a8ac41b8c409f8ba94882e2ce4b9fe6dd680c51195554c0595"),
+    (11, 3806,
+     "8c6bb1b50d2ddc174423e617816e0718989675150d845aa9d49d3d2cb6426abd"),
+])
+def test_35_model_bytes(n, count, digest):
+    # The (3,5;n) streams that constrain-generate reads, pinned on the
+    # models' own bytes: model_text reads one variable at a time, which
+    # would make this test several times slower.
+    evm, f = ramsey.encode_ramsey(ramsey.RamseyInstance(3, 5, n))
+    models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
+    assert len(models) == count
+    assert hashlib.sha256(
+        b"".join(m.values for m in models)).hexdigest() == digest
+
+
 def test_solve_model():
     _, f = ramsey.encode_ramsey(ramsey.RamseyInstance(3, 4, 7))
     assert sha256(model_text([sat.solve(f)], f.num_vars)) == \

@@ -23,6 +23,7 @@ from gcanon.ramsey import (
     EdgeVarMap,
     RamseyInstance,
     _extension_keep,
+    _first_degree_at_most_mean,
     _may_be_lex_least,
     _new_vertex_max_degree,
     decode_model,
@@ -382,6 +383,34 @@ class TestLexLeast:
     def test_rejects_cell_mate_with_smaller_counts(self):
         # row 0 is (0, 1), sorted, but vertex 1 has degree 0 < deg(0)
         assert not _may_be_lex_least(Graph.from_edges(3, [(0, 2)]))
+
+    @pytest.mark.parametrize("s, t, n, dropped", [
+        (3, 5, 10, 1956), (4, 4, 8, None), (3, 6, 8, None)])
+    def test_degree_test_drops_no_model_lex_least_keeps(self, s, t, n,
+                                                        dropped):
+        evm, f = encode_ramsey(RamseyInstance(s, t, n))
+        models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
+        failed = [m for m in models
+                  if not _first_degree_at_most_mean(n, m.values)]
+        assert failed
+        assert dropped is None or len(failed) == dropped
+        assert not any(_may_be_lex_least(decode_model(evm, m))
+                       for m in failed)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_degree_test_drops_no_labelling_lex_least_keeps(self, n):
+        # the row-major bytes of every labelled graph, with trailing
+        # bytes as a model's auxiliary variables would give
+        kept = 0
+        for g in labelled_graphs(n):
+            values = bytes(g.has_edge(u, v) for u, v in
+                           itertools.combinations(range(n), 2)) + b"\x01\x00"
+            if _first_degree_at_most_mean(n, values):
+                kept += 1
+            else:
+                assert not _may_be_lex_least(g), g
+        # below 3 vertices every graph is regular, so none is dropped
+        assert (kept < 2 ** math.comb(n, 2)) == (n >= 3)
 
 
 class TestPipelineEquivalence:

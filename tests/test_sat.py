@@ -95,6 +95,23 @@ class TestValueTypes:
             with pytest.raises(KeyError):
                 m[var]
 
+    @pytest.mark.parametrize("values", [
+        b"\x00\x01", bytearray(b"\x00\x01"), memoryview(b"\x00\x01"),
+        [0, 1], (False, True), iter([0, 1])])
+    def test_model_takes_0_1_bytes(self, values):
+        m = Model(values)
+        assert type(m.values) is bytes
+        assert m == Model(b"\x00\x01")
+
+    @pytest.mark.parametrize("values", [
+        5, 0, True, 1.5, None, "ab", "", [256], [-1], [0.0], [None],
+        b"\x02\x00", [0, 2], bytearray(b"\x01\xff")])
+    def test_model_rejects_values_not_0_1_bytes(self, values):
+        # bytes(5) is five zero bytes, and a byte 2 would read as true
+        # while comparing unequal to the model with a 1 there
+        with pytest.raises(SatError):
+            Model(values)
+
 
 class TestSolve:
     def test_forced_units(self):
