@@ -5,12 +5,13 @@ vertices) and shortg (remove isomorphic duplicates), built on one level
 loop, grow: extend every canonical graph by one vertex in all 2^n ways,
 filter, then reduce; a Stats sink times each level.  reduce_classes is
 the one reduce step of every generator here and in ramsey.py: it hands
-canonical_form a memo of its own, and no state outlives the call.  The
-memo keys each graph first by its relabelling in a cheap invariant order,
-then, on a miss, by its relabelling in root-refinement order, each key
-one int that spells a labelled graph with its n (see canon._memo_key);
-equal keys mean isomorphic graphs, so each root-order key is searched
-once per batch, and a graph whose first key is stored is not refined.
+canonical_form a memo of its own, reads the classes off the memo's
+values, and keeps no state past the call.  The memo keys each graph
+first by its relabelling in a cheap invariant order, then, on a miss, by
+its relabelling in root-refinement order, each key one int that spells
+a labelled graph with its n (see canon._memo_key); equal keys mean
+isomorphic graphs, so each root-order key is searched once per batch,
+and a graph whose first key is stored is not refined.
 """
 
 from __future__ import annotations
@@ -51,19 +52,18 @@ class Stats:
 def reduce_classes(graphs: Iterable[Graph],
                    stats: Optional[Stats] = None) -> list[Graph]:
     """The reduce step: canonize each graph, through a stats sink's timed
-    canonical_form when one is given, with one memo for the batch; keep
-    the first copy of each canonical graph and sort by graph6 encoding.
+    canonical_form when one is given, with one memo for the batch, and
+    sort the classes by graph6 encoding.
 
     graphs is consumed lazily, so a generator is reduced without ever
-    holding all of its graphs at once.  Duplicates are keyed by rows
-    (whose length is n), so only distinct graphs are encoded."""
+    holding all of its graphs at once.  The memo is the class table:
+    each form canonical_form returns is stored in it, and no other, so
+    only its distinct values are encoded."""
     canon = canonical_form if stats is None else stats.canonical_form
     memo = {}
-    seen = {}
     for g in graphs:
-        c = canon(g, memo)
-        seen.setdefault(c.rows, c)
-    return sorted(seen.values(), key=encode_graph6)
+        canon(g, memo)
+    return sorted(set(memo.values()), key=encode_graph6)
 
 
 def extend_and_reduce(graphs: Iterable[Graph],

@@ -80,8 +80,3 @@ def exec_stream(spec: ToolSpec,
             stderr.seek(0)
             raise ToolError(f"{spec.command} exited with status "
                             f"{proc.returncode}", stderr.read())
-
-
-def exec_bidi(spec: ToolSpec, input_lines: Iterable[str]) -> list[str]:
-    """All output lines of the tool run on input_lines."""
-    return list(exec_stream(spec, input_lines))

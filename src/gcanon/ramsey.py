@@ -11,7 +11,8 @@ labelling of their class, upper triangle read row by row, non-edge first:
 each row k has its edges at the top of the cells that rows 0..k-1 cannot
 tell apart, and no cell-mate of k has smaller per-cell neighbour counts.
 The least labelling meets both and satisfies the row-lex clauses, so it
-is a model and every class still arises.
+is a model and every class still arises.  The models stay the solver's
+0/1 bytes up to decode_model, where a caller's model bytes are checked.
 
 Convention (matching the generate-side code): an edge is color 1.  A graph
 is a Ramsey (s,t;n) coloring when no s vertices are pairwise non-adjacent
@@ -233,10 +234,17 @@ def encode_ramsey(inst: RamseyInstance) -> tuple[EdgeVarMap, sat.CnfFormula]:
                                         tuple(map(tuple, clauses)))
 
 
-def decode_model(evm: EdgeVarMap, model: sat.Model) -> Graph:
-    """Graph with edge {u,v} present iff its variable is true."""
+def decode_model(evm: EdgeVarMap, values: bytes) -> Graph:
+    """Graph with edge {u,v} present iff its variable's byte in the model
+    values is 1.  Here a caller's model enters the library, so anything
+    but bytes of only 0 and 1, at least num_edge_vars long, is a SatError:
+    a byte 2 would read as true, and a short model would lose edges."""
+    if (type(values) is not bytes or values.translate(None, b"\x00\x01")
+            or len(values) < evm.num_edge_vars):
+        raise sat.SatError(f"model {values!r} is not {evm.num_edge_vars} "
+                           f"or more 0/1 bytes")
     rows = [0] * evm.n
-    for u, v in itertools.compress(evm.pairs, model.values):
+    for u, v in itertools.compress(evm.pairs, values):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph._trusted(evm.n, tuple(rows))
@@ -315,7 +323,7 @@ def gen_ramsey_cg(inst: RamseyInstance, *,
     evm, formula = encode_ramsey(inst)
     models = sat.solve_all(formula, range(1, evm.num_edge_vars + 1))
     decoded = (decode_model(evm, m) for m in models
-               if _first_degree_at_most_mean(n, m.values))
+               if _first_degree_at_most_mean(n, m))
     graphs = reduce_classes(filter(_may_be_lex_least, decoded), stats)
     if stats is not None:
         stats.level(n, graphs)

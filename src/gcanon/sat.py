@@ -9,8 +9,8 @@ branches on the projection variables first, finds one completion of the
 rest, then backtracks over the projection decisions only.  solve_all lists
 what it yields; solve is the same search stopped at its first model.  The
 search keeps every literal's value in one bytearray (1 true, 0 false, 2
-unassigned), so a full model is one slice of it: one 0/1 byte per
-variable.
+unassigned), so a full model is one slice of it, and solve_all and solve
+return that slice as bytes: byte v - 1, 0 or 1, is variable v.
 """
 
 from __future__ import annotations
@@ -74,42 +74,6 @@ class CnfFormula:
         object.__setattr__(f, "num_vars", num_vars)
         object.__setattr__(f, "clauses", clauses)
         return f
-
-
-@dataclass(frozen=True, slots=True)
-class Model:
-    """A satisfying assignment over every variable: m[v] is values[v-1],
-    held as one 0/1 byte per variable.
-
-    values may be any bytes-like object or iterable of ints (bools
-    included) that holds only 0 and 1; anything else, an int count too,
-    is a SatError."""
-
-    values: bytes
-
-    def __post_init__(self):
-        values = self.values
-        if not isinstance(values, int):  # bytes(5) is 5 zero bytes
-            try:
-                values = bytes(values)
-            except (TypeError, ValueError):
-                pass
-        if type(values) is not bytes or values.translate(None, b"\x00\x01"):
-            raise SatError(f"model values {self.values!r} are not 0/1 bytes")
-        object.__setattr__(self, "values", values)
-
-    @staticmethod
-    def _trusted(values: bytes) -> "Model":
-        """Model from 0/1 bytes the solver built, without the checks of
-        __post_init__."""
-        m = object.__new__(Model)
-        object.__setattr__(m, "values", values)
-        return m
-
-    def __getitem__(self, var: int) -> bool:
-        if type(var) is not int or not 1 <= var <= len(self.values):
-            raise KeyError(var)  # bool and other keys too
-        return self.values[var - 1] != 0
 
 
 def _enumerate_projected(f: CnfFormula,
@@ -233,14 +197,15 @@ def _enumerate_projected(f: CnfFormula,
             return
 
 
-def solve(f: CnfFormula) -> Optional[Model]:
+def solve(f: CnfFormula) -> Optional[bytes]:
     """A satisfying model, or None iff the formula is unsatisfiable."""
     models = solve_all(f, ())
     return models[0] if models else None
 
 
-def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[Model]:
-    """All models distinct on the projection variables, in solver order.
+def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[bytes]:
+    """All models distinct on the projection variables, in solver order,
+    each one 0/1 byte per variable: byte v - 1 is variable v.
 
     Exactly one model per satisfiable projection assignment is returned:
     its first completion, false before true.  The search decides the
@@ -257,7 +222,7 @@ def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[Model]:
     for v in proj:
         if not 1 <= v <= f.num_vars:
             raise SatError(f"projection variable {v} out of range")
-    return list(map(Model._trusted, _enumerate_projected(f, proj)))
+    return list(_enumerate_projected(f, proj))
 
 
 def to_dimacs(f: CnfFormula) -> str:

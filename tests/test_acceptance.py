@@ -15,8 +15,7 @@ from gcanon.canon import canonical_form, canonize, isomorphic
 from gcanon.generate import all_nonisomorphic, dedup_canonical
 from gcanon.graph import Graph, Permutation, apply_permutation
 from gcanon.graph6 import decode_graph6, encode_graph6
-from gcanon.gtools import ToolSpec, ToolUnavailable, exec_bidi, exec_stream, \
-    find_binary
+from gcanon.gtools import ToolSpec, ToolUnavailable, exec_stream, find_binary
 from gcanon.ramsey import (
     RamseyInstance,
     _extension_keep,
@@ -150,7 +149,7 @@ def test_09_sat_completeness():
                 truth.add(tuple(value[v] for v in proj))
         assert (sat.solve(f) is not None) == bool(truth)
         models = sat.solve_all(f, proj)
-        got = [tuple(m[v] for v in proj) for m in models]
+        got = [tuple(m[v - 1] for v in proj) for m in models]
         assert len(set(got)) == len(got)
         assert set(got) == truth
     accept("sat completeness")
@@ -179,6 +178,6 @@ def test_11_external_tool_cross_validation():
         graphs = [Graph.from_edges(6, [p for p in pairs if rng.random() < .5])
                   for _ in range(30)]
         atoms = [encode_graph6(g) for g in graphs]
-        theirs = exec_bidi(ToolSpec("shortg", ("-q",)), atoms)
+        theirs = list(exec_stream(ToolSpec("shortg", ("-q",)), atoms))
         assert len(theirs) == len(dedup_canonical(graphs))
     accept("external tool cross-validation")

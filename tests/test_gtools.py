@@ -11,7 +11,6 @@ from gcanon.gtools import (
     ToolError,
     ToolSpec,
     ToolUnavailable,
-    exec_bidi,
     exec_stream,
     find_binary,
 )
@@ -125,16 +124,16 @@ class TestPlumbing:
 
     def test_bidi_round_trip(self):
         spec = ToolSpec("sort", ())
-        assert exec_bidi(spec, ["b", "a", "c"]) == ["a", "b", "c"]
+        assert list(exec_stream(spec, ["b", "a", "c"])) == ["a", "b", "c"]
 
     def test_bidi_splits_at_newlines_only(self):
         spec = ToolSpec("sh", ("-c", "printf 'a\\fb\\n'"))
-        assert exec_bidi(spec, []) == ["a\fb"]
+        assert list(exec_stream(spec, [])) == ["a\fb"]
 
     def test_bidi_nonzero_exit(self):
         spec = ToolSpec("sh", ("-c", "cat > /dev/null; exit 2"))
         with pytest.raises(ToolError):
-            exec_bidi(spec, ["x"])
+            list(exec_stream(spec, ["x"]))
 
 
 class TestAgainstInstalledGtools:
@@ -151,6 +150,6 @@ class TestAgainstInstalledGtools:
     def test_shortg_classes_match(self, n):
         spec = gtool_or_skip("shortg", "-q")
         ours = [encode_graph6(g) for g in all_nonisomorphic(n)]
-        theirs = exec_bidi(spec, ours)
+        theirs = list(exec_stream(spec, ours))
         # same class count: shortg must not merge any of our representatives
         assert len(theirs) == len(ours)

@@ -315,7 +315,7 @@ class TestEncoding:
         models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
         for m in models:
             g = decode_model(evm, m)
-            assert all(m[evm[(u, v)]] == g.has_edge(u, v)
+            assert all(m[evm[(u, v)] - 1] == g.has_edge(u, v)
                        for u, v in itertools.combinations(range(5), 2))
 
     def test_decode_model_matches_from_edges(self):
@@ -323,8 +323,16 @@ class TestEncoding:
         models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
         assert models
         for m in models:
-            edges = [pair for var, pair in enumerate(evm.pairs, 1) if m[var]]
+            edges = [pair for pair, bit in zip(evm.pairs, m) if bit]
             assert decode_model(evm, m) == Graph.from_edges(evm.n, edges)
+
+    @pytest.mark.parametrize("n, values", [
+        (5, b"\x01"), (5, b"\x01" * 9), (2, b"")])
+    def test_decode_model_rejects_short_models(self, n, values):
+        # compress would stop at the end of a short model, leaving out
+        # the edges of the pairs past it
+        with pytest.raises(sat.SatError):
+            decode_model(EdgeVarMap(n), values)
 
     def test_symmetry_break_soundness(self):
         # dropping the lex constraints must not lose any canonical class
@@ -391,7 +399,7 @@ class TestLexLeast:
         evm, f = encode_ramsey(RamseyInstance(s, t, n))
         models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
         failed = [m for m in models
-                  if not _first_degree_at_most_mean(n, m.values)]
+                  if not _first_degree_at_most_mean(n, m)]
         assert failed
         assert dropped is None or len(failed) == dropped
         assert not any(_may_be_lex_least(decode_model(evm, m))

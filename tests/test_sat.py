@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from gcanon.ramsey import RamseyInstance, decode_model, encode_ramsey, \
-    is_ramsey
+from gcanon.ramsey import EdgeVarMap, RamseyInstance, decode_model, \
+    encode_ramsey, is_ramsey
 from gcanon.sat import (
     CnfFormula,
-    Model,
     SatError,
     from_dimacs,
     solve,
@@ -26,15 +25,15 @@ def truth_table_models(f, projection=None):
         else list(range(1, f.num_vars + 1))
     found = set()
     for bits in itertools.product([False, True], repeat=f.num_vars):
-        value = {v: bits[v - 1] for v in range(1, f.num_vars + 1)}
-        if satisfies(value, f):
-            found.add(tuple(value[v] for v in proj))
+        if satisfies(bits, f):
+            found.add(tuple(bits[v - 1] for v in proj))
     return found
 
 
 def satisfies(value, f):
-    """Does the assignment (anything indexable by variable) satisfy f?"""
-    return all(any(value[abs(lit)] == (lit > 0) for lit in c)
+    """Does the assignment satisfy f?  value[v - 1] is variable v, as in
+    a model's bytes."""
+    return all(any(value[abs(lit) - 1] == (lit > 0) for lit in c)
                for c in f.clauses)
 
 
@@ -87,36 +86,22 @@ class TestValueTypes:
         with pytest.raises(SatError):
             CnfFormula.of(-1, [])
 
-    def test_model_reads_every_variable(self):
-        m = Model([False, True])
-        assert (m[1], m[2]) == (False, True)
-        # only an int (bool excluded) in 1..num_vars is a variable number
-        for var in (0, -1, 3, 2 ** 70, True, False, 1.0, "a", None, (1,)):
-            with pytest.raises(KeyError):
-                m[var]
-
-    @pytest.mark.parametrize("values", [
-        b"\x00\x01", bytearray(b"\x00\x01"), memoryview(b"\x00\x01"),
-        [0, 1], (False, True), iter([0, 1])])
-    def test_model_takes_0_1_bytes(self, values):
-        m = Model(values)
-        assert type(m.values) is bytes
-        assert m == Model(b"\x00\x01")
-
     @pytest.mark.parametrize("values", [
         5, 0, True, 1.5, None, "ab", "", [256], [-1], [0.0], [None],
-        b"\x02\x00", [0, 2], bytearray(b"\x01\xff")])
+        b"\x02\x00", [0, 2], bytearray(b"\x01\xff"),
+        [0, 1], bytearray(b"\x00\x01")])
     def test_model_rejects_values_not_0_1_bytes(self, values):
-        # bytes(5) is five zero bytes, and a byte 2 would read as true
-        # while comparing unequal to the model with a 1 there
+        # decode_model, where a model enters the library, takes only bytes
+        # of 0 and 1: a byte 2 would read as true while comparing unequal
+        # to the model with a 1 there, and bytes(5) is five zero bytes
         with pytest.raises(SatError):
-            Model(values)
+            decode_model(EdgeVarMap(2), values)
 
 
 class TestSolve:
     def test_forced_units(self):
         m = solve(CnfFormula.of(3, [[1], [-1, 2], [-2, 3]]))
-        assert m[1] and m[2] and m[3]
+        assert m == b"\x01\x01\x01"
 
     def test_unsat_pair(self):
         assert solve(CnfFormula.of(1, [[1], [-1]])) is None
@@ -155,9 +140,8 @@ class TestSolveAll:
 
     def test_lexicographic_order_false_first(self):
         f = CnfFormula.of(2, [])
-        seq = [(m[1], m[2]) for m in solve_all(f, [1, 2])]
-        assert seq == [(False, False), (False, True),
-                       (True, False), (True, True)]
+        assert solve_all(f, [1, 2]) == [b"\x00\x00", b"\x00\x01",
+                                        b"\x01\x00", b"\x01\x01"]
 
     def test_unsat_gives_no_models(self):
         assert solve_all(CnfFormula.of(2, [[1], [-1]]), [1, 2]) == []
@@ -177,7 +161,7 @@ class TestSolveAll:
             f = random_cnf(rng, 8, 30)
             proj = sorted(rng.sample(range(1, 9), rng.randint(1, 8)))
             models = solve_all(f, proj)
-            got = [tuple(m[v] for v in proj) for m in models]
+            got = [tuple(m[v - 1] for v in proj) for m in models]
             assert len(set(got)) == len(got)
             assert set(got) == truth_table_models(f, proj)
             for m in models:

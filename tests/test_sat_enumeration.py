@@ -18,7 +18,7 @@ from .test_sat import random_cnf, satisfies, truth_table_models
 
 
 def projected(models, proj):
-    return [tuple(m[v] for v in proj) for m in models]
+    return [tuple(m[v - 1] for v in proj) for m in models]
 
 
 def first_completions(f, proj):
@@ -29,9 +29,8 @@ def first_completions(f, proj):
     proj = sorted(proj)
     first = {}
     for bits in itertools.product([False, True], repeat=f.num_vars):
-        value = dict(zip(range(1, f.num_vars + 1), bits))
-        if satisfies(value, f):
-            first.setdefault(tuple(value[v] for v in proj), bits)
+        if satisfies(bits, f):
+            first.setdefault(tuple(bits[v - 1] for v in proj), bits)
     return [first[key] for key in sorted(first)]
 
 
@@ -123,9 +122,10 @@ def test_models_take_one_byte_per_variable():
     models = solve_all(f, range(1, evm.num_edge_vars + 1))
     assert len(models) == 43
     for m in models:
-        assert sys.getsizeof(m.values) <= f.num_vars + 64
-        assert all(m[v] is True or m[v] is False
-                   for v in range(1, f.num_vars + 1))
+        assert type(m) is bytes
+        assert len(m) == f.num_vars
+        assert not m.translate(None, b"\x00\x01")
+        assert sys.getsizeof(m) <= f.num_vars + 64
 
 
 def test_enumerate_projected_yields_solve_all_stream():
@@ -135,14 +135,14 @@ def test_enumerate_projected_yields_solve_all_stream():
     stream = _enumerate_projected(f, proj)
     assert isinstance(stream, Iterator)
     first = next(stream)
-    assert first == models[0].values
-    assert [first, *stream] == [m.values for m in models]
+    assert first == models[0]
+    assert [first, *stream] == models
 
 
 def test_enumerations_of_one_formula_share_no_state():
     evm, f = ramsey.encode_ramsey(ramsey.RamseyInstance(3, 4, 7))
     proj = list(range(1, evm.num_edge_vars + 1))
-    models = [m.values for m in solve_all(f, proj)]
+    models = solve_all(f, proj)
     assert len(models) == 43
     # a stream left after two models neither disturbs a second one nor
     # is disturbed by it

@@ -19,8 +19,6 @@ VALUES = {
     "extension": list(extensions(C5))[19],
     "permutation": Permutation((2, 0, 1)),
     "partition": OrderedPartition(((1, 3), (0,), (2,))),
-    "model": sat.Model(b"\x01\x00\x01"),
-    "trusted_model": sat.Model._trusted(b"\x01\x00\x01"),
     "formula": sat.CnfFormula.of(3, [[1, -2], [2, 3], [-1]]),
     "canonical_result": canonize(C5),
     "canon_options": CanonOptions(OrderedPartition.unit(5)),
@@ -56,13 +54,6 @@ def test_trusted_equals_checked(rows):
     n = len(rows)
     assert Graph._trusted(n, rows) == Graph(n, rows)
     assert hash(Graph._trusted(n, rows)) == hash(Graph(n, rows))
-
-
-def test_solver_models_equal_checked():
-    f = sat.CnfFormula.of(3, [[1, -2], [2, 3]])
-    for m in sat.solve_all(f, [1, 2, 3]):
-        assert m == sat.Model(m.values)
-        assert hash(m) == hash(sat.Model(m.values))
 
 
 def test_extensions_equal_checked_graphs():
