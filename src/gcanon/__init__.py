@@ -22,7 +22,6 @@ from .graph import (
     apply_permutation,
     extensions,
     graph_convert,
-    k_subsets,
 )
 from .graph6 import decode_graph6, encode_graph6
 from .ramsey import (
@@ -41,8 +40,7 @@ __all__ = [
     "all_nonisomorphic", "apply_permutation", "canonical_form", "canonize",
     "decode_graph6", "dedup_canonical", "encode_graph6", "encode_ramsey",
     "extend_and_reduce", "extensions", "gen_ramsey_cg", "gen_ramsey_gt",
-    "graph_convert", "is_ramsey", "isomorphic", "k_subsets",
-    "refine_equitable",
+    "graph_convert", "is_ramsey", "isomorphic", "refine_equitable",
 ]
 
 __version__ = "0.1.0"

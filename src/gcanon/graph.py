@@ -87,19 +87,9 @@ class Graph:
         _set_rows(g, rows)
         return g
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[_check_vertex(self.n, u)]
-                    >> _check_vertex(self.n, v) & 1)
-
-    def degree(self, u: int) -> int:
-        return self.rows[_check_vertex(self.n, u)].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n)
                 for v in range(u + 1, self.n) if self.rows[u] >> v & 1]
-
-    def num_edges(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
 
     def to_matrix(self) -> list[list[int]]:
         return [[self.rows[u] >> v & 1 for v in range(self.n)]
@@ -121,15 +111,6 @@ class Graph:
         k = (pos + 7) >> 3
         return int.from_bytes(
             rev.to_bytes(k, "little").translate(_REV8), "big") >> (8 * k - pos)
-
-    def delete_vertex(self, v: int) -> "Graph":
-        """Induced subgraph on the other n-1 vertices, order preserved.
-        v must be an int vertex of the graph; each row keeps its bits
-        below v and shifts those above v down by one."""
-        low = (1 << _check_vertex(self.n, v)) - 1
-        return Graph._trusted(self.n - 1, tuple(
-            (r & low) | (r >> 1 & ~low)
-            for u, r in enumerate(self.rows) if u != v))
 
     @staticmethod
     def empty(n: int) -> "Graph":
@@ -208,22 +189,14 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.map)
 
-    def __call__(self, i: int) -> int:
-        return self.map[_check_vertex(len(self.map), i)]
-
     def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
+        """self after other: the map i -> self.map[other.map[i]]."""
         if len(other.map) != len(self.map):
             raise GraphError("permutation lengths differ")
         return _derived(Permutation, tuple(self.map[j] for j in other.map))
 
     def one_based(self) -> list[int]:
         return [i + 1 for i in self.map]
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        _check_vertex_count(n)
-        return _derived(Permutation, tuple(range(n)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,7 +227,7 @@ class OrderedPartition:
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:
-    """Relabel g by p: result.adj[p(u)][p(v)] = g.adj[u][v]."""
+    """Relabel g by p: result.adj[p.map[u]][p.map[v]] = g.adj[u][v]."""
     if len(p) != g.n:
         raise GraphError("permutation length does not match vertex count")
     return Graph._trusted(g.n, _relabel_rows(g.rows, p.map))
@@ -367,16 +340,6 @@ def extensions(g: Graph) -> Iterator[Graph]:
             set_n(h, n1)
             set_rows(h, lo + rest + (base | i,))
             yield h
-
-
-def k_subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All size-k subsets of [0,n) in lexicographic order."""
-    _check_vertex_count(n)
-    if type(k) is not int:
-        raise GraphError(f"subset size {k!r} is not an int")
-    if k < 0:
-        raise GraphError("negative subset size")
-    return itertools.combinations(range(n), k)
 
 
 def _check_vertex(n: int, v) -> int:

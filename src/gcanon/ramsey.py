@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import sat
 from .generate import Stats, grow, reduce_classes
-from .graph import Graph, GraphError, _check_vertex_count, k_subsets
+from .graph import Graph, GraphError, _check_vertex_count
 
 # Not called here: perfbench/tracer.py wraps these names in this module.
 from .canon import canonical_form
@@ -86,10 +86,10 @@ def is_ramsey(inst: RamseyInstance, g: Graph) -> bool:
     """True iff g has no independent set of size s and no clique of size t."""
     if g.n != inst.n:
         raise GraphError("graph size does not match instance")
-    for vs in k_subsets(g.n, inst.s):
+    for vs in itertools.combinations(range(g.n), inst.s):
         if all(not g.rows[u] >> v & 1 for u, v in itertools.combinations(vs, 2)):
             return False
-    for vs in k_subsets(g.n, inst.t):
+    for vs in itertools.combinations(range(g.n), inst.t):
         if all(g.rows[u] >> v & 1 for u, v in itertools.combinations(vs, 2)):
             return False
     return True

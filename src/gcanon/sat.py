@@ -1,4 +1,4 @@
-"""Minimal complete SAT solver with all-solutions enumeration and DIMACS I/O.
+"""Minimal complete SAT solver: all-solutions enumeration and DIMACS output.
 
 The solver is plain DPLL with two-watched-literal unit propagation and
 chronological backtracking, trying false before true, so the model order is
@@ -6,11 +6,10 @@ stable.  One generator, _enumerate_projected, yields the models modulo a
 projection from one search and adds no clause to do it, after Toda & Soh
 ("Implementing efficient all solutions SAT solvers", ACM JEA 2016): it
 branches on the projection variables first, finds one completion of the
-rest, then backtracks over the projection decisions only.  solve_all lists
-what it yields; solve is the same search stopped at its first model.  The
-search keeps every literal's value in one bytearray (1 true, 0 false, 2
-unassigned), so a full model is one slice of it, and solve_all and solve
-return that slice as bytes: byte v - 1, 0 or 1, is variable v.
+rest, then backtracks over the projection decisions only, and solve_all lists
+what it yields.  The search keeps every literal's value in one bytearray
+(1 true, 0 false, 2 unassigned), so a full model is one slice of it, and
+solve_all returns that slice as bytes: byte v - 1, 0 or 1, is variable v.
 """
 
 from __future__ import annotations
@@ -20,17 +19,18 @@ from typing import Iterable, Iterator, Optional
 
 
 class SatError(ValueError):
-    """Malformed formula or DIMACS text."""
+    """Malformed formula, projection or model bytes."""
 
 
 @dataclass(frozen=True, slots=True)
 class CnfFormula:
     """Clauses over variables 1..num_vars as tuples of DIMACS literals.
 
-    Validated once, here: a num_vars or literal that is not an int (bool
-    included), literal 0, a literal beyond num_vars, an empty clause and a
-    negative num_vars are rejected; duplicate literals are removed keeping
-    their order, and tautologies are dropped."""
+    Validated once, here: clauses that are not an iterable of iterables,
+    a num_vars or literal that is not an int (bool included), literal 0, a
+    literal beyond num_vars, an empty clause and a negative num_vars are
+    rejected; duplicate literals are removed keeping their order, and
+    tautologies are dropped."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
@@ -40,9 +40,12 @@ class CnfFormula:
             raise SatError(f"variable count {self.num_vars!r} is not an int")
         if self.num_vars < 0:
             raise SatError(f"negative variable count {self.num_vars}")
+        try:
+            clauses = [tuple(clause) for clause in self.clauses]
+        except TypeError:
+            raise SatError("clauses are not sequences of literals") from None
         kept = []
-        for clause in self.clauses:
-            clause = tuple(clause)
+        for clause in clauses:
             if not set(map(type, clause)) <= {int}:
                 raise SatError(f"clause {clause!r} holds a non-int literal")
             lits = dict.fromkeys(clause)
@@ -61,7 +64,7 @@ class CnfFormula:
 
     @staticmethod
     def of(num_vars: int, int_clauses: Iterable[Iterable[int]]) -> "CnfFormula":
-        return CnfFormula(num_vars, tuple(int_clauses))
+        return CnfFormula(num_vars, int_clauses)
 
     @staticmethod
     def _trusted(num_vars: int,
@@ -197,12 +200,6 @@ def _enumerate_projected(f: CnfFormula,
             return
 
 
-def solve(f: CnfFormula) -> Optional[bytes]:
-    """A satisfying model, or None iff the formula is unsatisfiable."""
-    models = solve_all(f, ())
-    return models[0] if models else None
-
-
 def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[bytes]:
     """All models distinct on the projection variables, in solver order,
     each one 0/1 byte per variable: byte v - 1 is variable v.
@@ -213,9 +210,13 @@ def solve_all(f: CnfFormula, projection: Iterable[int]) -> list[bytes]:
     come in lexicographic order, lowest projection variable most
     significant; for a projection 1..k, such as the edge variables of a
     Ramsey encoding, that is the lexicographic order of the whole models.
-    An empty projection gives the first model only.
+    An empty projection gives the first model only, or none iff f is
+    unsatisfiable.
     """
-    proj = list(projection)
+    try:
+        proj = list(projection)
+    except TypeError:
+        raise SatError("projection is not a sequence of variables") from None
     if not set(map(type, proj)) <= {int}:
         raise SatError("projection variables are not all int")
     proj = sorted(set(proj))
@@ -230,45 +231,3 @@ def to_dimacs(f: CnfFormula) -> str:
     for c in f.clauses:
         lines.append(" ".join(map(str, c)) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def _dimacs_int(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise SatError(f"not an integer in DIMACS text: {tok!r}") from None
-
-
-def from_dimacs(text: str) -> CnfFormula:
-    num_vars = None
-    num_clauses = None
-    tokens: list[int] = []
-    clauses: list[list[int]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise SatError(f"malformed DIMACS header: {line!r}")
-            num_vars = _dimacs_int(parts[2])
-            num_clauses = _dimacs_int(parts[3])
-            continue
-        if num_vars is None:
-            raise SatError("clause before DIMACS header")
-        for tok in line.split():
-            i = _dimacs_int(tok)
-            if i == 0:
-                clauses.append(tokens)
-                tokens = []
-            else:
-                tokens.append(i)
-    if num_vars is None:
-        raise SatError("missing DIMACS header")
-    if tokens:
-        raise SatError("clause missing 0 terminator")
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise SatError(
-            f"header declares {num_clauses} clauses, found {len(clauses)}")
-    return CnfFormula.of(num_vars, clauses)

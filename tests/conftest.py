@@ -30,8 +30,8 @@ def brute_force_isomorphism(g1, g2):
     independent oracle for the canonization tests (n <= 8)."""
     if g1.n != g2.n:
         return None
-    if sorted(g1.degree(v) for v in range(g1.n)) != \
-            sorted(g2.degree(v) for v in range(g2.n)):
+    if sorted(r.bit_count() for r in g1.rows) != \
+            sorted(r.bit_count() for r in g2.rows):
         return None
     for perm in itertools.permutations(range(g1.n)):
         p = Permutation(perm)

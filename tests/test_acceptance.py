@@ -75,7 +75,7 @@ def test_03_worked_canonization_example():
     canonic = r.canonic.to_matrix()
     for u in range(5):
         for v in range(5):
-            assert canonic[r.permutation(u)][r.permutation(v)] == \
+            assert canonic[r.permutation.map[u]][r.permutation.map[v]] == \
                 CANON_EXAMPLE_INPUT[u][v]
     accept("worked canonization example")
 
@@ -147,7 +147,7 @@ def test_09_sat_completeness():
             if all(any(value[abs(lit)] == (lit > 0) for lit in c)
                    for c in f.clauses):
                 truth.add(tuple(value[v] for v in proj))
-        assert (sat.solve(f) is not None) == bool(truth)
+        assert bool(sat.solve_all(f, ())) == bool(truth)
         models = sat.solve_all(f, proj)
         got = [tuple(m[v - 1] for v in proj) for m in models]
         assert len(set(got)) == len(got)

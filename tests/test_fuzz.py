@@ -1,7 +1,7 @@
-"""Boundary fuzzing: every parser and the public Graph constructor either
-return a valid value or raise the library's own typed error, never a bare
-TypeError, AttributeError or IndexError; the CLI on any stdin exits 0, or
-exits 1 with one error line."""
+"""Boundary fuzzing: every parser and the public Graph and CnfFormula
+constructors either return a valid value or raise the library's own typed
+error, never a bare TypeError, AttributeError or IndexError; the CLI on
+any stdin exits 0, or exits 1 with one error line."""
 
 import contextlib
 import io
@@ -40,11 +40,6 @@ def graph6_atom(n):
 
 graph6_atoms = st.integers(0, 7).flatmap(graph6_atom)
 
-dimacs_text = st.lists(
-    st.sampled_from(["p", "cnf", "c", "0", "1", "-1", "2", "-2", "3", "x",
-                     "-", "\n", " ", "\t"]) | st.text(max_size=3),
-    max_size=20).map("".join)
-
 
 def is_symmetric(g):
     return all((g.rows[u] >> v & 1) == (g.rows[v] >> u & 1)
@@ -61,14 +56,20 @@ def test_decode_graph6_returns_graph_or_graph6_error(text):
     assert isinstance(g, Graph) and is_symmetric(g)
 
 
+# int clauses, most of them in range for num_vars, so that a good share
+# of draws builds a formula, plus arbitrary nested values for either
 @FUZZ
-@given(st.one_of(dimacs_text, st.text()))
-def test_from_dimacs_returns_formula_or_sat_error(text):
+@given(st.integers(-1, 4) | json_like,
+       st.lists(st.lists(st.integers(-5, 5), max_size=3), max_size=4)
+       | json_like)
+def test_cnf_formula_returns_formula_or_sat_error(num_vars, clauses):
     try:
-        f = sat.from_dimacs(text)
+        f = sat.CnfFormula(num_vars, clauses)
     except sat.SatError:
         return
-    assert isinstance(f, sat.CnfFormula)
+    assert all(c and set(map(type, c)) == {int}
+               and all(0 < abs(lit) <= f.num_vars for lit in c)
+               for c in f.clauses)
 
 
 @FUZZ

@@ -41,7 +41,7 @@ class TestExtendAndReduce:
 
     def test_keep_filter_applied(self):
         out = extend_and_reduce([Graph.empty(2)],
-                                keep=lambda h: h.num_edges() == 0)
+                                keep=lambda h: not h.edges())
         assert out == [Graph.empty(3)]
 
     def test_relabelled_input_gives_the_same_classes(self):

@@ -20,7 +20,6 @@ from gcanon.graph import (
     apply_permutation,
     extensions,
     graph_convert,
-    k_subsets,
 )
 
 from .conftest import all_graphs
@@ -101,30 +100,6 @@ class TestGraphValue:
         g = Graph.from_edges(4, [(0, 1), (3, 1), (2, 0), (1, 0)])
         assert g == Graph(4, g.rows)
         assert g.rows == (0b0110, 0b1001, 0b0001, 0b0010)
-
-    def test_delete_vertex_restores_parent(self):
-        g = Graph.from_matrix(CYCLE5_MATRIX)
-        h = g.delete_vertex(4)
-        assert h.edges() == [(0, 1), (0, 2), (1, 3)]
-
-    @pytest.mark.parametrize("v", [True, 2.0, 5, -1, None])
-    def test_delete_vertex_rejects_a_non_vertex(self, v):
-        g = Graph.from_matrix(CYCLE5_MATRIX)
-        with pytest.raises(GraphError, match="out of range for n=5"):
-            g.delete_vertex(v)
-
-    @pytest.mark.parametrize("u,v", [(-1, 0), (0, 5), (0, -1), (3, 0),
-                                     (True, 2), (0, 2.0), (None, 0)])
-    def test_has_edge_rejects_a_non_vertex(self, u, v):
-        g = Graph.from_edges(3, [(0, 2)])
-        with pytest.raises(GraphError, match="out of range for n=3"):
-            g.has_edge(u, v)
-
-    @pytest.mark.parametrize("u", [-1, 3, True, 2.0, None])
-    def test_degree_rejects_a_non_vertex(self, u):
-        g = Graph.from_edges(3, [(0, 2)])
-        with pytest.raises(GraphError, match="out of range for n=3"):
-            g.degree(u)
 
 
 class TestConvert:
@@ -210,7 +185,7 @@ class TestConvert:
 class TestApplyPermutation:
     def test_identity(self):
         g = Graph.from_matrix(CYCLE5_MATRIX)
-        assert apply_permutation(g, Permutation.identity(5)) == g
+        assert apply_permutation(g, Permutation(range(5))) == g
 
     def test_k2_swap(self):
         k2 = Graph.from_edges(2, [(0, 1)])
@@ -233,11 +208,6 @@ class TestApplyPermutation:
         with pytest.raises(GraphError):
             Permutation(bad)
 
-    @pytest.mark.parametrize("i", [-1, 3, True, 1.0, None])
-    def test_call_rejects_a_non_point(self, i):
-        with pytest.raises(GraphError, match="out of range for n=3"):
-            Permutation((1, 0, 2))(i)
-
     def test_list_map_stored_as_tuple(self):
         p = Permutation([1, 0])
         assert p.map == (1, 0)
@@ -247,7 +217,7 @@ class TestApplyPermutation:
         g = Graph.from_edges(3, [(0, 1)])
         p = Permutation((2, 0, 1))
         h = apply_permutation(g, p)
-        assert h.has_edge(p(0), p(1))
+        assert h.rows[p.map[0]] >> p.map[1] & 1
         assert h.edges() == [(0, 2)]
 
     @settings(max_examples=60, deadline=None)
@@ -265,8 +235,8 @@ class TestApplyPermutation:
         g = data.draw(graphs())
         p = data.draw(permutations_of(g.n))
         h = apply_permutation(g, p)
-        assert sorted(g.degree(v) for v in range(g.n)) == \
-            sorted(h.degree(v) for v in range(h.n))
+        assert sorted(r.bit_count() for r in g.rows) == \
+            sorted(r.bit_count() for r in h.rows)
 
 
 class TestExtensions:
@@ -292,7 +262,8 @@ class TestExtensions:
         assert len(out) == 2 ** g.n
         assert len(set(out)) == len(out)
         for h in out:
-            assert h.delete_vertex(g.n) == g
+            assert Graph.from_edges(g.n, [
+                e for e in h.edges() if g.n not in e]) == g
 
     def test_matches_naive_definition_in_mask_order(self):
         # n = 0..11 crosses the width of the row table; the first 600
@@ -321,33 +292,7 @@ class TestExtensions:
             next(iter(extensions(Graph.empty(64))))
 
 
-class TestKSubsets:
-    def test_pairs_of_three(self):
-        assert list(k_subsets(3, 2)) == [(0, 1), (0, 2), (1, 2)]
-
-    def test_count(self):
-        assert len(list(k_subsets(5, 3))) == 10
-
-    def test_zero_size(self):
-        assert list(k_subsets(4, 0)) == [()]
-
-    def test_oversized_is_empty(self):
-        assert list(k_subsets(2, 3)) == []
-
-    def test_lexicographic(self):
-        subs = list(k_subsets(6, 3))
-        assert subs == sorted(subs)
-
-    @pytest.mark.parametrize("n, k", [
-        (2.5, 2), (True, 1), ("3", 1), (-1, 0), (65, 0),
-        (3, 1.5), (3, True), (3, "1"), (3, None), (3, -1)])
-    def test_rejects_bad_n_or_k(self, n, k):
-        with pytest.raises(GraphError):
-            k_subsets(n, k)
-
-
-@pytest.mark.parametrize("make", [
-    Permutation.identity, OrderedPartition.unit, all_nonisomorphic])
+@pytest.mark.parametrize("make", [OrderedPartition.unit, all_nonisomorphic])
 @pytest.mark.parametrize("n", [2.0, True, "2", None, -1, 65])
 def test_entry_points_check_vertex_count(make, n):
     with pytest.raises(GraphError):

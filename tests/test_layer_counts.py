@@ -70,7 +70,7 @@ def test_35_13_canonizes_max_degree_children(calls):
 
 
 @pytest.mark.parametrize("n, classes, models, canonized", [
-    (10, 313, 7319, 1561), (11, 105, 3806, 891)])
+    (5, 13, 18, 14), (10, 313, 7319, 1561), (11, 105, 3806, 891)])
 def test_35_cg_canonizes_possible_lex_least_models(calls, n, classes,
                                                      models, canonized):
     # Canonizing every model took one call per model.  Decoding every
@@ -78,5 +78,5 @@ def test_35_cg_canonizes_possible_lex_least_models(calls, n, classes,
     # whose vertex 0 has more than the mean degree before decode.
     assert len(gen_ramsey_cg(RamseyInstance(3, 5, n))) == classes
     assert calls["models"] == models
-    assert calls["decode_model"] == {10: 5363, 11: 2229}[n]
+    assert calls["decode_model"] == {5: 16, 10: 5363, 11: 2229}[n]
     assert calls["canonical_form"] == canonized

@@ -73,5 +73,5 @@ def test_35_model_bytes(n, count, digest):
 
 def test_solve_model():
     _, f = ramsey.encode_ramsey(ramsey.RamseyInstance(3, 4, 7))
-    assert sha256(model_text([sat.solve(f)])) == \
+    assert sha256(model_text(sat.solve_all(f, ()))) == \
         "62af57595b961d5ff83949edb7231a9856a93e47a0520a90aab9a882b6b0cc22"
