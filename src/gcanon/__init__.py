@@ -3,7 +3,6 @@ all-solutions SAT solver, and Ramsey coloring search pipelines."""
 
 from .canon import (
     CanonicalResult,
-    CanonOptions,
     canonical_form,
     canonize,
     isomorphic,
@@ -35,7 +34,7 @@ from .ramsey import (
 
 __all__ = [
     "ADJ_LIST", "ADJ_MATRIX", "EDGE_LIST", "GRAPH6_ATOM",
-    "CanonOptions", "CanonicalResult", "EdgeVarMap", "Graph", "GraphError",
+    "CanonicalResult", "EdgeVarMap", "Graph", "GraphError",
     "OrderedPartition", "Permutation", "RamseyInstance",
     "all_nonisomorphic", "apply_permutation", "canonical_form", "canonize",
     "decode_graph6", "dedup_canonical", "encode_graph6", "encode_ramsey",

@@ -4,7 +4,7 @@ The canonical representative of a graph is the leaf of the refinement search
 tree whose relabeled upper-triangle bit string is numerically smallest.  This
 differs from nauty's internal choice of representative but is a valid
 canonical form: two graphs get the same representative iff they are
-isomorphic (color-respectingly so, when an initial coloring is given).
+isomorphic (color-respectingly so, when a coloring is given).
 
 Refinement stops at a discrete partition and never queues the last
 sub-cell of a split cell, which could split nothing; the cells and their
@@ -91,17 +91,6 @@ from .graph import (
 
 
 @dataclass(frozen=True, slots=True)
-class CanonOptions:
-    initial_coloring: Optional[OrderedPartition] = None
-
-    def __post_init__(self):
-        coloring = self.initial_coloring
-        if coloring is not None and not isinstance(coloring, OrderedPartition):
-            raise GraphError(
-                f"initial coloring {coloring!r} is not an OrderedPartition")
-
-
-@dataclass(frozen=True, slots=True)
 class CanonicalResult:
     """Full canonization output.
 
@@ -181,11 +170,20 @@ def _root_cells(rows, n, cells=None):
     return _refine(rows, cells, seeds)
 
 
-def refine_equitable(g: Graph, p: OrderedPartition) -> OrderedPartition:
-    """Coarsest equitable refinement of p with deterministic cell order."""
+def _cells(g, p):
+    """The cells of p, a caller's partition of g's vertices.  Anything but
+    an OrderedPartition of g's n vertices is a GraphError."""
+    if not isinstance(p, OrderedPartition):
+        raise GraphError(f"partition {p!r} is not an OrderedPartition")
     if p.n != g.n:
         raise GraphError("partition does not cover the graph's vertices")
-    return _derived(OrderedPartition, tuple(_root_cells(g.rows, g.n, p.cells)))
+    return p.cells
+
+
+def refine_equitable(g: Graph, p: OrderedPartition) -> OrderedPartition:
+    """Coarsest equitable refinement of p with deterministic cell order."""
+    return _derived(OrderedPartition,
+                    tuple(_root_cells(g.rows, g.n, _cells(g, p))))
 
 
 def _absorb(orbits, gen, domain):
@@ -332,17 +330,16 @@ def _search_from(rows, n, root):
     return search, pos, _relabel_rows(rows, pos)
 
 
-def canonize(g: Graph, opts: CanonOptions = CanonOptions()) -> CanonicalResult:
+def canonize(g: Graph, coloring: Optional[OrderedPartition] = None
+             ) -> CanonicalResult:
     """Canonical labeling, relabeling permutation, orbits, and canonical form.
 
-    With an initial coloring, only color-preserving relabelings compete, so
-    two colored graphs share a canonic value iff they are isomorphic via a
-    color-respecting permutation (colorings compared cell-by-cell in order).
+    With a coloring, an OrderedPartition of g's vertices, only
+    color-preserving relabelings compete, so two colored graphs share a
+    canonic value iff they are isomorphic via a color-respecting
+    permutation (colorings compared cell-by-cell in order).
     """
-    coloring = opts.initial_coloring
-    if coloring is not None and coloring.n != g.n:
-        raise GraphError("coloring does not cover the graph's vertices")
-    cells = coloring.cells if coloring is not None else None
+    cells = None if coloring is None else _cells(g, coloring)
     root = _root_cells(g.rows, g.n, cells)
     search, pos, crows = _search_from(g.rows, g.n, root)
     orbits = list(range(g.n))
@@ -387,13 +384,13 @@ def canonical_form(g: Graph, memo: Optional[dict] = None) -> Graph:
     """Canonical representative of g's isomorphism class.
 
     A memo dict, owned by the caller for one batch of inputs, skips the
-    search for an input already seen.  It holds two kinds of key, each a
-    labelled graph isomorphic to its input (see _memo_key): g relabelled
-    in invariant order (see _invariant_order), and g relabelled in
-    root-cell order.  Two inputs with the same key of either kind, or one
-    of each, are both isomorphic to the labelled graph the key spells, so
-    they share the canonical form stored under it, and both kinds share
-    one dict.  The invariant key is tried first, as it needs no
+    search for an input already seen; without one, a fresh dict is used.
+    It holds two kinds of key, each a labelled graph isomorphic to its
+    input (see _memo_key): g relabelled in invariant order (see
+    _invariant_order), and g relabelled in root-cell order.  Two inputs
+    with the same key of either kind, or one of each, are both isomorphic
+    to the labelled graph the key spells, so they share the canonical
+    form stored under it, and both kinds share one dict.  The invariant key is tried first, as it needs no
     refinement; only on a miss is the root refinement run and the root
     key tried, and only on a second miss is the search run.  The form is
     then stored under both keys.
@@ -408,8 +405,7 @@ def canonical_form(g: Graph, memo: Optional[dict] = None) -> Graph:
     """
     rows, n = g.rows, g.n
     if memo is None:
-        return Graph._trusted(
-            n, _search_from(rows, n, _root_cells(rows, n))[2])
+        memo = {}
     cheap = _memo_key(rows, _invariant_order(rows, n))
     canonic = memo.get(cheap)
     if canonic is None:
@@ -424,15 +420,15 @@ def canonical_form(g: Graph, memo: Optional[dict] = None) -> Graph:
 
 
 def isomorphic(n: int, g1: Graph, g2: Graph,
-               opts: CanonOptions = CanonOptions()
+               coloring: Optional[OrderedPartition] = None
                ) -> Optional[tuple[Permutation, Graph]]:
     """Isomorphism test; on success returns (p, canonic) with
     apply_permutation(g1, p) = g2 and canonic their shared canonical form.
     Returns None when the graphs are not isomorphic."""
     if g1.n != n or g2.n != n:
         raise GraphError("vertex count mismatch")
-    r1 = canonize(g1, opts)
-    r2 = canonize(g2, opts)
+    r1 = canonize(g1, coloring)
+    r2 = canonize(g2, coloring)
     if r1.canonic != r2.canonic:
         return None
     p = r2.labeling.compose(r1.permutation)

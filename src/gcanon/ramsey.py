@@ -229,7 +229,8 @@ def encode_ramsey(inst: RamseyInstance) -> tuple[EdgeVarMap, sat.CnfFormula]:
         # must be unsatisfiable, expressed with one throwaway variable
         next_var += 1
         clauses = [c for c in clauses if c] + [[next_var], [-next_var]]
-    # no clause is empty or names a variable twice: of() would keep them
+    # no clause is empty or names a variable twice, so the clauses are
+    # already in the form the constructor gives
     return evm, sat.CnfFormula._trusted(max(next_var, 1),
                                         tuple(map(tuple, clauses)))
 

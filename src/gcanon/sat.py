@@ -63,16 +63,12 @@ class CnfFormula:
         object.__setattr__(self, "clauses", tuple(kept))
 
     @staticmethod
-    def of(num_vars: int, int_clauses: Iterable[Iterable[int]]) -> "CnfFormula":
-        return CnfFormula(num_vars, int_clauses)
-
-    @staticmethod
     def _trusted(num_vars: int,
                  clauses: tuple[tuple[int, ...], ...]) -> "CnfFormula":
         """Formula from clauses the library derived, already in the form
-        of() gives, without the checks of __post_init__: non-empty tuples
-        of int literals on variables 1..num_vars, no literal twice and no
-        tautology."""
+        the constructor gives, without the checks of __post_init__:
+        non-empty tuples of int literals on variables 1..num_vars, no
+        literal twice and no tautology."""
         f = object.__new__(CnfFormula)
         object.__setattr__(f, "num_vars", num_vars)
         object.__setattr__(f, "clauses", clauses)

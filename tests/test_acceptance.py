@@ -139,7 +139,7 @@ def test_09_sat_completeness():
         for _ in range(nc):
             vs = rng.sample(range(1, nv + 1), min(3, nv))
             clauses.append([v if rng.random() < .5 else -v for v in vs])
-        f = sat.CnfFormula.of(nv, clauses)
+        f = sat.CnfFormula(nv, clauses)
         proj = sorted(rng.sample(range(1, nv + 1), rng.randint(1, nv)))
         truth = set()
         for bits in itertools.product([False, True], repeat=nv):

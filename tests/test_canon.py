@@ -8,7 +8,6 @@ import pytest
 
 from gcanon import canon
 from gcanon.canon import (
-    CanonOptions,
     _CanonSearch,
     _refine,
     canonical_form,
@@ -204,6 +203,12 @@ class TestRefineEquitable:
         with pytest.raises(GraphError, match="does not cover"):
             refine_equitable(Graph.empty(3), OrderedPartition.unit(4))
 
+    @pytest.mark.parametrize("p", [[[0, 1], [2]], ((0, 1), (2,)), "x", 5,
+                                   None])
+    def test_rejects_a_non_partition(self, p):
+        with pytest.raises(GraphError):
+            refine_equitable(Graph.empty(3), p)
+
 
 class TestCanonize:
     def test_worked_example_same_class(self):
@@ -268,8 +273,7 @@ class TestCanonize:
             first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
             cells = (tuple(first),
                      tuple(v for v in range(g.n) if v not in first))
-            r = canonize(g, CanonOptions(initial_coloring=OrderedPartition(
-                cells)))
+            r = canonize(g, OrderedPartition(cells))
             assert r.orbits == brute_force_orbits(g, cells), (g, cells)
 
     def test_labeling_pin_on_symmetric_graphs(self):
@@ -370,8 +374,8 @@ class TestColoredCanonization:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         c_ends = self.coloring([[0, 2], [1]])
         c_mixed = self.coloring([[0, 1], [2]])
-        a = canonize(g, CanonOptions(initial_coloring=c_ends))
-        b = canonize(g, CanonOptions(initial_coloring=c_mixed))
+        a = canonize(g, c_ends)
+        b = canonize(g, c_mixed)
         assert a.canonic != b.canonic or a.partition != b.partition
 
     def test_agrees_with_colored_oracle(self):
@@ -382,8 +386,8 @@ class TestColoredCanonization:
             g2 = Graph.from_edges(5, [p for p in pairs if rng.random() < .5])
             split = rng.randint(1, 4)
             c = self.coloring([range(split), range(split, 5)])
-            r1 = canonize(g1, CanonOptions(initial_coloring=c))
-            r2 = canonize(g2, CanonOptions(initial_coloring=c))
+            r1 = canonize(g1, c)
+            r2 = canonize(g2, c)
             oracle = self.colored_brute_force(g1, c, g2, c)
             assert (r1.canonic == r2.canonic) == (oracle is not None)
 
@@ -393,24 +397,23 @@ class TestColoredCanonization:
         for _ in range(40):
             g = Graph.from_edges(6, [p for p in pairs if rng.random() < .5])
             c = self.coloring([[0, 1, 2], [3, 4, 5]])
-            r = canonize(g, CanonOptions(initial_coloring=c))
+            r = canonize(g, c)
             # positions of each color class are contiguous and class-sized
             first = sorted(r.permutation.map[v] for v in (0, 1, 2))
             assert first == [0, 1, 2]
 
     def test_coloring_size_mismatch(self):
         with pytest.raises(GraphError):
-            canonize(Graph.empty(4),
-                     CanonOptions(initial_coloring=OrderedPartition(((0, 1),))))
+            canonize(Graph.empty(4), OrderedPartition(((0, 1),)))
 
     @pytest.mark.parametrize("coloring", [[[0, 1], [2]], ((0, 1), (2,)),
                                           "x", 5])
     def test_coloring_not_a_partition(self, coloring):
         g = Graph.empty(3)
         with pytest.raises(GraphError):
-            canonize(g, CanonOptions(initial_coloring=coloring))
+            canonize(g, coloring)
         with pytest.raises(GraphError):
-            isomorphic(3, g, g, CanonOptions(initial_coloring=coloring))
+            isomorphic(3, g, g, coloring)
 
 
 class TestGroupSize:
@@ -424,8 +427,7 @@ class TestGroupSize:
             first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
             cells = (tuple(first),
                      tuple(v for v in range(g.n) if v not in first))
-            r = canonize(g, CanonOptions(initial_coloring=OrderedPartition(
-                cells)))
+            r = canonize(g, OrderedPartition(cells))
             assert r.group_size == brute_force_group_size(g, cells), \
                 (g, cells)
 
@@ -497,9 +499,8 @@ def test_search_tree_pin(monkeypatch):
         g = relabelled(g, rng)
         first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
         cells = (tuple(first), tuple(v for v in range(g.n) if v not in first))
-        for opts in (CanonOptions(), CanonOptions(
-                initial_coloring=OrderedPartition(cells))):
-            sizes.append(canonize(g, opts).group_size)
+        for coloring in (None, OrderedPartition(cells)):
+            sizes.append(canonize(g, coloring).group_size)
     digest = hashlib.sha256(repr(sizes).encode()).hexdigest()
     assert (len(sizes), nodes) == (344, 1328)
     assert digest == (
@@ -519,9 +520,8 @@ def test_labeling_pin_over_classes():
         g = relabelled(g, rng)
         first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
         cells = (tuple(first), tuple(v for v in range(g.n) if v not in first))
-        for opts in (CanonOptions(), CanonOptions(
-                initial_coloring=OrderedPartition(cells))):
-            digest.update(repr(canonize(g, opts).labeling.map).encode())
+        for coloring in (None, OrderedPartition(cells)):
+            digest.update(repr(canonize(g, coloring).labeling.map).encode())
     assert len(graphs) == 1216
     assert digest.hexdigest() == (
         "094b0b6c37349fa7f48cbb6915994c9d63a1038ab8c490cb7ebb8c60ff82d78d")
@@ -647,9 +647,8 @@ def test_block_union_results_pin():
     for g in graphs:
         first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
         cells = (tuple(first), tuple(v for v in range(g.n) if v not in first))
-        for opts in (CanonOptions(), CanonOptions(
-                initial_coloring=OrderedPartition(cells))):
-            r = canonize(g, opts)
+        for coloring in (None, OrderedPartition(cells)):
+            r = canonize(g, coloring)
             digest.update(repr((
                 r.labeling.map, r.permutation.map, r.orbits, r.canonic.rows,
                 r.partition.cells, r.group_size)).encode())
@@ -716,8 +715,7 @@ def test_twin_class_graphs_match_vf2():
         for cells in ((tuple(range(g.n)),),
                       (tuple(first),
                        tuple(v for v in range(g.n) if v not in first))):
-            r = canonize(g, CanonOptions(
-                initial_coloring=OrderedPartition(cells)))
+            r = canonize(g, OrderedPartition(cells))
             assert (r.group_size, r.orbits) == vf2_group(nx, g, cells), \
                 (g, cells)
 
@@ -725,13 +723,14 @@ def test_twin_class_graphs_match_vf2():
 def test_memo_gives_the_plain_canonical_form():
     # One memo shared by every child of the 6-vertex classes and by two
     # seeded relabelings of each (3,5;9) class, as a reduce step shares it.
+    # canonize searches with no memo, so it is the oracle here and below.
     rng = random.Random(61)
     inputs = [h for g in all_nonisomorphic(6) for h in extensions(g)]
     inputs += [relabelled(g, rng)
                for g in gen_ramsey_gt(RamseyInstance(3, 5, 9)) for _ in "ab"]
     memo = {}
     for g in inputs:
-        assert canonical_form(g, memo) == canonical_form(g)
+        assert canonical_form(g, memo) == canonize(g).canonic
     assert len(memo) < len(inputs)
 
 
@@ -742,7 +741,7 @@ def test_memo_key_carries_the_order():
     p3 = Graph.from_edges(3, [(1, 2)])
     memo = {}
     for g in (k2, p3, k2, p3):
-        assert canonical_form(g, memo) == canonical_form(g)
+        assert canonical_form(g, memo) == canonize(g).canonic
     assert len(memo) == 2
 
 
@@ -756,7 +755,7 @@ def test_memo_key_carries_the_vertex_count():
     for g in inputs:
         c = canonical_form(g, memo)
         assert c.n == g.n
-        assert c == canonical_form(g)
+        assert c == canonize(g).canonic
 
 
 def test_memo_over_relabelled_classes():
@@ -770,7 +769,7 @@ def test_memo_over_relabelled_classes():
     forms = set()
     for g in inputs:
         c = canonical_form(g, memo)
-        assert c == canonical_form(g)
+        assert c == canonize(g).canonic
         forms.add(c)
     assert len(forms) == 1044
 
@@ -819,7 +818,7 @@ def test_results_are_valid_values():
         first = rng.sample(range(g.n), rng.randint(1, g.n - 1))
         cells = (tuple(first), tuple(v for v in range(g.n) if v not in first))
         for coloring in (None, OrderedPartition(cells)):
-            r = canonize(g, CanonOptions(initial_coloring=coloring))
+            r = canonize(g, coloring)
             for p in (r.labeling, r.permutation):
                 assert type(p.map) is tuple
                 assert Permutation(p.map) == p

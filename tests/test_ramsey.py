@@ -241,7 +241,7 @@ class TestGenerateTestReduce:
                    for vs in itertools.combinations(range(n), 3)]
         clauses += [[-evm[p] for p in itertools.combinations(vs, 2)]
                     for vs in itertools.combinations(range(n), 4)]
-        f = sat.CnfFormula.of(evm.num_edge_vars, clauses)
+        f = sat.CnfFormula(evm.num_edge_vars, clauses)
         models = sat.solve_all(f, range(1, evm.num_edge_vars + 1))
         assert len(models) == labelled
         for gen in (gen_ramsey_gt, gen_ramsey_cg):
@@ -305,7 +305,7 @@ class TestEncoding:
         # the encoder skips CnfFormula's checks: its clauses must already
         # be what they would make of them, the unsatisfiable branch included
         _, f = encode_ramsey(RamseyInstance(s, t, n))
-        assert f == sat.CnfFormula.of(f.num_vars, f.clauses)
+        assert f == sat.CnfFormula(f.num_vars, f.clauses)
 
     def test_unsatisfiable_corner(self):
         # s = 1 forbids every single vertex: no coloring exists for n >= 1

@@ -38,38 +38,38 @@ def random_cnf(rng, num_vars, num_clauses, width=3):
     for _ in range(num_clauses):
         vs = rng.sample(range(1, num_vars + 1), width)
         clauses.append([v if rng.random() < .5 else -v for v in vs])
-    return CnfFormula.of(num_vars, clauses)
+    return CnfFormula(num_vars, clauses)
 
 
 class TestValueTypes:
     def test_literal_int_round_trip(self):
-        f = CnfFormula.of(7, [[-7], [7, -1]])
+        f = CnfFormula(7, [[-7], [7, -1]])
         assert f.clauses == ((-7,), (7, -1))
 
     def test_literal_rejects_zero(self):
         with pytest.raises(SatError):
-            CnfFormula.of(2, [[1, 0]])
+            CnfFormula(2, [[1, 0]])
 
     def test_clause_dedups(self):
-        assert CnfFormula.of(2, [[1, -2, 1]]).clauses == ((1, -2),)
+        assert CnfFormula(2, [[1, -2, 1]]).clauses == ((1, -2),)
 
     def test_clause_rejects_empty(self):
         with pytest.raises(SatError):
-            CnfFormula.of(2, [[]])
+            CnfFormula(2, [[]])
 
     def test_tautology_detection(self):
-        assert CnfFormula.of(2, [[1, 2, -1]]).clauses == ()
-        assert CnfFormula.of(2, [[1, -2]]).clauses == ((1, -2),)
+        assert CnfFormula(2, [[1, 2, -1]]).clauses == ()
+        assert CnfFormula(2, [[1, -2]]).clauses == ((1, -2),)
 
     def test_formula_drops_tautologies(self):
-        f = CnfFormula.of(2, [[1, -1], [1, 2]])
+        f = CnfFormula(2, [[1, -1], [1, 2]])
         assert len(f.clauses) == 1
 
     def test_formula_rejects_out_of_range(self):
         with pytest.raises(SatError):
-            CnfFormula.of(2, [[3]])
+            CnfFormula(2, [[3]])
         with pytest.raises(SatError):
-            CnfFormula.of(2, [[-3]])
+            CnfFormula(2, [[-3]])
 
     @pytest.mark.parametrize("num_vars, clauses", [
         (2, [[True, 2]]), (2, [[1, True]]), (True, [[1]]), (2, [[1.0, 2]]),
@@ -81,7 +81,7 @@ class TestValueTypes:
 
     def test_formula_rejects_negative_num_vars(self):
         with pytest.raises(SatError):
-            CnfFormula.of(-1, [])
+            CnfFormula(-1, [])
 
     @pytest.mark.parametrize("values", [
         5, 0, True, 1.5, None, "ab", "", [256], [-1], [0.0], [None],
@@ -97,14 +97,14 @@ class TestValueTypes:
 
 class TestSolve:
     def test_forced_units(self):
-        f = CnfFormula.of(3, [[1], [-1, 2], [-2, 3]])
+        f = CnfFormula(3, [[1], [-1, 2], [-2, 3]])
         assert solve_all(f, ()) == [b"\x01\x01\x01"]
 
     def test_unsat_pair(self):
-        assert solve_all(CnfFormula.of(1, [[1], [-1]]), ()) == []
+        assert solve_all(CnfFormula(1, [[1], [-1]]), ()) == []
 
     def test_empty_formula_is_sat(self):
-        assert solve_all(CnfFormula.of(3, []), ()) == [b"\x00\x00\x00"]
+        assert solve_all(CnfFormula(3, []), ()) == [b"\x00\x00\x00"]
 
     def test_model_satisfies_formula(self):
         rng = random.Random(2)
@@ -125,33 +125,33 @@ class TestSolve:
 
 class TestSolveAll:
     def test_empty_clause_set_gives_power_set(self):
-        f = CnfFormula.of(4, [])
+        f = CnfFormula(4, [])
         models = solve_all(f, [1, 2, 3])
         assert len(models) == 8
 
     def test_projection_collapses_free_variables(self):
         # variable 2 is unconstrained, projection on 1 sees one model
-        f = CnfFormula.of(2, [[1]])
+        f = CnfFormula(2, [[1]])
         assert len(solve_all(f, [1])) == 1
         assert len(solve_all(f, [1, 2])) == 2
 
     def test_lexicographic_order_false_first(self):
-        f = CnfFormula.of(2, [])
+        f = CnfFormula(2, [])
         assert solve_all(f, [1, 2]) == [b"\x00\x00", b"\x00\x01",
                                         b"\x01\x00", b"\x01\x01"]
 
     def test_unsat_gives_no_models(self):
-        assert solve_all(CnfFormula.of(2, [[1], [-1]]), [1, 2]) == []
+        assert solve_all(CnfFormula(2, [[1], [-1]]), [1, 2]) == []
 
     def test_projection_out_of_range(self):
         with pytest.raises(SatError):
-            solve_all(CnfFormula.of(2, []), [3])
+            solve_all(CnfFormula(2, []), [3])
 
     @pytest.mark.parametrize("projection", [["1"], [True], [1, True], [1.0],
                                             5, None])
     def test_projection_rejects_non_int(self, projection):
         with pytest.raises(SatError):
-            solve_all(CnfFormula.of(2, []), projection)
+            solve_all(CnfFormula(2, []), projection)
 
     def test_matches_truth_table(self):
         rng = random.Random(13)

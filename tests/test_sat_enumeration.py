@@ -55,13 +55,13 @@ def no_model_on(vs):
 
 class TestProjectionForcedAtRoot:
     def test_one_model_then_stop(self):
-        f = CnfFormula.of(5, [[1], [-2], [-1, 3, 4], [2, -5, 4]])
+        f = CnfFormula(5, [[1], [-2], [-1, 3, 4], [2, -5, 4]])
         models = check_against_truth_table(f, [1, 2])
         assert len(models) == 1
 
     def test_projection_forced_through_propagation(self):
         # 1 is a unit and forces 2 and then 3; the rest stays free
-        f = CnfFormula.of(6, [[1], [-1, 2], [-2, 3], [4, 5, 6]])
+        f = CnfFormula(6, [[1], [-1, 2], [-2, 3], [4, 5, 6]])
         models = check_against_truth_table(f, [3, 2])
         assert len(models) == 1
 
@@ -71,7 +71,7 @@ class TestProjectionWithoutCompletion:
         # with 1 false, variables 3 and 4 have no assignment; with 1 true
         # they are free, so (T, F) and (T, T) on [1, 2] remain
         tail = [[1] + c for c in no_model_on([3, 4])]
-        f = CnfFormula.of(4, tail)
+        f = CnfFormula(4, tail)
         models = check_against_truth_table(f, [1, 2])
         assert projected(models, [1, 2]) == [(True, False), (True, True)]
 
@@ -80,7 +80,7 @@ class TestProjectionWithoutCompletion:
         tail = [[1, 2] + c for c in no_model_on([5, 6, 7])]
         tail += [[-1, -2] + c for c in no_model_on([5, 6, 7])]
         tail += [[3] + c for c in no_model_on([6, 7])]
-        f = CnfFormula.of(7, tail + [[4, 5, -6]])
+        f = CnfFormula(7, tail + [[4, 5, -6]])
         models = check_against_truth_table(f, [1, 2, 3, 4])
         assert projected(models, [1, 2, 3, 4]) == [
             (False, True, True, False), (False, True, True, True),
@@ -95,7 +95,7 @@ class TestProjectionWithoutCompletion:
 
 class TestProjectionNotAPrefix:
     def test_fixed_formula(self):
-        f = CnfFormula.of(5, [[1, 2, 4], [-2, 3], [-4, -5], [-1, 5, -3]])
+        f = CnfFormula(5, [[1, 2, 4], [-2, 3], [-4, -5], [-1, 5, -3]])
         check_against_truth_table(f, [4, 2])
 
     def test_random_formulas(self):

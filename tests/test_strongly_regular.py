@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from gcanon.canon import CanonOptions, canonize
+from gcanon.canon import canonize
 from gcanon.graph import Graph, OrderedPartition, Permutation, \
     apply_permutation
 
@@ -111,7 +111,7 @@ def test_relabelings_agree_plain_and_coloured(name, g, params, aut):
     for h, cells in relabelings(g, seed=params[0] * 7 + aut):
         r = canonize(h)
         assert (r.canonic, r.group_size) == (plain.canonic, aut)
-        rc = canonize(h, CanonOptions(initial_coloring=cells))
+        rc = canonize(h, cells)
         assert apply_permutation(h, rc.permutation) == rc.canonic
         if coloured is None:
             coloured = rc
@@ -140,7 +140,7 @@ def test_orbits_and_group_order_match_vf2(name, g, coloured):
     H.add_edges_from(h.edges())
     autos = list(nx.algorithms.isomorphism.GraphMatcher(
         H, H, node_match=lambda a, b: a["c"] == b["c"]).isomorphisms_iter())
-    result = canonize(h, CanonOptions(cells if coloured else None))
+    result = canonize(h, cells if coloured else None)
     assert result.group_size == len(autos)
     assert result.orbits == tuple(min(a[v] for a in autos)
                                   for v in range(h.n))

@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from gcanon import sat
-from gcanon.canon import CanonOptions, canonize
+from gcanon.canon import canonize
 from gcanon.graph import Graph, OrderedPartition, Permutation, extensions
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -19,9 +19,8 @@ VALUES = {
     "extension": list(extensions(C5))[19],
     "permutation": Permutation((2, 0, 1)),
     "partition": OrderedPartition(((1, 3), (0,), (2,))),
-    "formula": sat.CnfFormula.of(3, [[1, -2], [2, 3], [-1]]),
+    "formula": sat.CnfFormula(3, [[1, -2], [2, 3], [-1]]),
     "canonical_result": canonize(C5),
-    "canon_options": CanonOptions(OrderedPartition.unit(5)),
 }
 
 
